@@ -14,14 +14,18 @@ use pm_trace::Addr;
 
 use crate::ckpt::{self, CheckpointDecodeError, CkptReader, CkptWriter};
 
-/// A multiplicative hasher for cache-line addresses (already well-mixed
-/// keys); the store path runs once per store, so SipHash would dominate it.
+/// A multiplicative hasher for cache-line addresses and other integer
+/// keys; the store path runs once per store, so SipHash would dominate it.
+///
+/// `finish` rotates the product: a cache-line base has its low 6 bits
+/// zero, so the raw product does too, and the hash table picks buckets
+/// from the low bits. The rotation brings well-mixed high bits down.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LineHasher(u64);
 
 impl Hasher for LineHasher {
     fn finish(&self) -> u64 {
-        self.0
+        self.0.rotate_left(26)
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -35,7 +39,28 @@ impl Hasher for LineHasher {
     }
 }
 
-type LineMap = HashMap<Addr, Vec<usize>, BuildHasherDefault<LineHasher>>;
+/// A `HashMap` keyed by cache lines (or other integers) under [`LineHasher`].
+pub(crate) type LineHashMap<K, V> = HashMap<K, V, BuildHasherDefault<LineHasher>>;
+
+/// End-of-chain marker for slot chains.
+pub(crate) const NIL: u32 = u32::MAX;
+
+/// A `Vec` index as a compact chain link. Every slot is heap memory, so
+/// allocation fails long before 2^32 - 1 of them exist.
+pub(crate) fn slot_index(idx: usize) -> u32 {
+    u32::try_from(idx)
+        .ok()
+        .filter(|&i| i != NIL)
+        .expect("fewer than 2^32 - 1 slots")
+}
+
+/// One link of a per-line chain: an interval that stored to the line, and
+/// the next (older) link.
+#[derive(Debug, Clone, Copy)]
+struct LineSlot {
+    interval: u32,
+    next: u32,
+}
 
 /// Collective flushing state of a CLF interval (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,10 +123,12 @@ pub struct IntervalList {
     /// e.g. a hashmap rehash) linear instead of quadratic. An interval's
     /// bounding box can only be covered by a flush that also covers its
     /// store lines, so the index loses no state transitions.
-    line_map: LineMap,
-    /// Total slots across all `line_map` values, maintained incrementally
-    /// so memory accounting never walks the map.
-    line_slots: usize,
+    ///
+    /// Each line maps to the head of a chain in `line_slots`, newest
+    /// interval first. Both containers are cleared, not freed, at fences,
+    /// so a steady-state fence interval allocates nothing.
+    line_map: LineHashMap<Addr, u32>,
+    line_slots: Vec<LineSlot>,
 }
 
 impl IntervalList {
@@ -133,28 +160,40 @@ impl IntervalList {
             });
             self.open = true;
         }
-        let interval_idx = self.intervals.len() - 1;
+        let interval = slot_index(self.intervals.len() - 1);
         for line in pmem_sim::lines_covering(addr, size as usize) {
-            let slots = self.line_map.entry(line).or_default();
-            if slots.last() != Some(&interval_idx) {
-                slots.push(interval_idx);
-                self.line_slots += 1;
+            let head = self.line_map.entry(line).or_insert(NIL);
+            if *head != NIL && self.line_slots[*head as usize].interval == interval {
+                continue;
             }
+            self.line_slots.push(LineSlot {
+                interval,
+                next: *head,
+            });
+            *head = slot_index(self.line_slots.len() - 1);
         }
     }
 
-    /// Indices of intervals that stored to any line of `[addr, addr+len)`,
-    /// ascending and deduplicated.
-    pub fn candidates(&self, addr: Addr, len: u64) -> Vec<usize> {
-        let mut out: Vec<usize> = Vec::new();
+    /// Chain of intervals that stored to `line`, newest first.
+    fn line_chain(&self, line: Addr) -> impl Iterator<Item = usize> + '_ {
+        let mut slot = self.line_map.get(&line).copied().unwrap_or(NIL);
+        std::iter::from_fn(move || {
+            let link = self.line_slots.get(slot as usize)?;
+            slot = link.next;
+            Some(link.interval as usize)
+        })
+    }
+
+    /// Fills `out` with the indices of intervals that stored to any line of
+    /// `[addr, addr+len)`, ascending and deduplicated. `out` is a buffer
+    /// the caller reuses across flushes.
+    pub fn candidates(&self, addr: Addr, len: u64, out: &mut Vec<usize>) {
+        out.clear();
         for line in pmem_sim::lines_covering(addr, len as usize) {
-            if let Some(slots) = self.line_map.get(&line) {
-                out.extend_from_slice(slots);
-            }
+            out.extend(self.line_chain(line));
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
     /// Closes the current interval: the next store starts a new one.
@@ -188,17 +227,18 @@ impl IntervalList {
     pub fn clear(&mut self) {
         self.intervals.clear();
         self.line_map.clear();
-        self.line_slots = 0;
+        self.line_slots.clear();
         self.open = false;
     }
 
-    /// Heap bytes held by the interval metadata and the line index.
+    /// Heap bytes held by the interval metadata and the line index: one
+    /// map entry (line + chain head) per indexed line plus the live chain
+    /// slots. Slot storage kept for reuse after a fence is not counted.
     pub fn tracked_bytes(&self) -> u64 {
         let intervals = self.intervals.capacity() * std::mem::size_of::<IntervalMeta>();
-        // One map entry per line (key + Vec header) plus the slot storage.
         let map_entries =
-            self.line_map.len() * (std::mem::size_of::<Addr>() + std::mem::size_of::<Vec<usize>>());
-        let slots = self.line_slots * std::mem::size_of::<usize>();
+            self.line_map.len() * (std::mem::size_of::<Addr>() + std::mem::size_of::<u32>());
+        let slots = self.line_slots.len() * std::mem::size_of::<LineSlot>();
         (intervals + map_entries + slots) as u64
     }
 
@@ -222,11 +262,15 @@ impl IntervalList {
         // line order for a deterministic encoding.
         let lines = ckpt::sorted_entries(&self.line_map);
         w.usize(lines.len());
-        for (line, slots) in lines {
-            w.varint(*line);
-            w.usize(slots.len());
-            for slot in slots {
-                w.usize(*slot);
+        let mut chain = Vec::new();
+        for (&line, _) in lines {
+            chain.clear();
+            chain.extend(self.line_chain(line));
+            w.varint(line);
+            w.usize(chain.len());
+            // Chains run newest first; the encoding lists slots ascending.
+            for &interval in chain.iter().rev() {
+                w.usize(interval);
             }
         }
     }
@@ -262,12 +306,12 @@ impl IntervalList {
             });
         }
         let line_count = r.count()?;
-        let mut line_map = LineMap::default();
-        let mut line_slots = 0;
+        let mut line_map = LineHashMap::default();
+        let mut line_slots = Vec::new();
         for _ in 0..line_count {
             let line = r.varint()?;
             let slot_count = r.count()?;
-            let mut slots = Vec::with_capacity(slot_count.min(4096));
+            let mut head = NIL;
             for _ in 0..slot_count {
                 let slot = r.varint()? as usize;
                 if slot >= intervals.len() {
@@ -275,10 +319,13 @@ impl IntervalList {
                         "line-map slot {slot} references a missing interval"
                     )));
                 }
-                slots.push(slot);
+                line_slots.push(LineSlot {
+                    interval: slot_index(slot),
+                    next: head,
+                });
+                head = slot_index(line_slots.len() - 1);
             }
-            line_slots += slots.len();
-            line_map.insert(line, slots);
+            line_map.insert(line, head);
         }
         Ok(IntervalList {
             intervals,
@@ -358,10 +405,15 @@ mod tests {
         list.record_store(1, 128, 8); // interval 1: line 128
         list.close_current();
         list.record_store(2, 8, 8); // interval 2: line 0 again
-        assert_eq!(list.candidates(0, 64), vec![0, 2]);
-        assert_eq!(list.candidates(128, 8), vec![1]);
-        assert!(list.candidates(256, 64).is_empty());
-        assert_eq!(list.candidates(0, 256), vec![0, 1, 2]);
+        let mut out = Vec::new();
+        list.candidates(0, 64, &mut out);
+        assert_eq!(out, vec![0, 2]);
+        list.candidates(128, 8, &mut out);
+        assert_eq!(out, vec![1]);
+        list.candidates(256, 64, &mut out);
+        assert!(out.is_empty());
+        list.candidates(0, 256, &mut out);
+        assert_eq!(out, vec![0, 1, 2]);
     }
 
     #[test]
@@ -369,7 +421,59 @@ mod tests {
         let mut list = IntervalList::new();
         list.record_store(0, 0, 8);
         list.clear();
-        assert!(list.candidates(0, 64).is_empty());
+        let mut out = vec![7];
+        list.candidates(0, 64, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn line_hash_spreads_consecutive_lines_over_low_bits() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<LineHasher>::default();
+        for base in [0u64, 0x1000_0000, 0x7f00_0000_0000] {
+            let low: std::collections::HashSet<u64> = (0..64)
+                .map(|i| build.hash_one(base + i * 64) & 63)
+                .collect();
+            assert!(low.len() >= 32, "base {base:#x}: {} distinct", low.len());
+        }
+    }
+
+    #[test]
+    fn tracked_bytes_counts_live_slots_and_returns_after_clear() {
+        let mut list = IntervalList::new();
+        list.record_store(0, 0, 8);
+        list.clear();
+        let empty = list.tracked_bytes();
+        list.record_store(0, 0, 8192); // 128 lines
+        let wide = list.tracked_bytes();
+        let per_line = (std::mem::size_of::<Addr>()
+            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<LineSlot>()) as u64;
+        assert_eq!(wide - empty, 128 * per_line);
+        list.clear();
+        assert_eq!(list.tracked_bytes(), empty);
+    }
+
+    #[test]
+    fn line_chains_survive_checkpoint_in_ascending_order() {
+        let mut list = IntervalList::new();
+        for (idx, addr) in [0u64, 128, 8, 16].into_iter().enumerate() {
+            list.record_store(idx, addr, 8);
+            list.close_current();
+        }
+        let mut w = CkptWriter::new();
+        list.encode_into(&mut w);
+        let bytes = w.into_bytes();
+        let back = IntervalList::decode_from(&mut CkptReader::new(&bytes)).unwrap();
+        let mut out = Vec::new();
+        back.candidates(0, 64, &mut out);
+        assert_eq!(out, vec![0, 2, 3]);
+        let mut again = CkptWriter::new();
+        back.encode_into(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+        // Decoding rebuilds the chain newest first.
+        let line0: Vec<usize> = back.line_chain(0).collect();
+        assert_eq!(line0, vec![3, 2, 0]);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use pm_trace::{Addr, BugKind, BugReport, OrderSpec, StrandId, ThreadId, CAS_PUBL
 
 use crate::ckpt::{self, CheckpointDecodeError, CkptReader, CkptWriter};
 use crate::cover::RangeCover;
+use crate::interval::{slot_index, LineHashMap, NIL};
 
 /// Persist state of one named variable.
 #[derive(Debug, Clone, Default)]
@@ -49,10 +50,23 @@ impl VarState {
     }
 }
 
+/// Whether some rule of `spec` names variable `name`.
+fn names(spec: &OrderSpec, name: &str) -> bool {
+    spec.rules()
+        .iter()
+        .any(|rule| rule.first == name || rule.second == name)
+}
+
 /// Tracks named variables and evaluates order rules.
+///
+/// Only variables some rule names are tracked: the rules are the only
+/// readers of variable state, so a `NameRange` for any other name is
+/// ignored, and with nothing bound every store, flush and fence returns
+/// at once.
 #[derive(Debug, Clone, Default)]
 pub struct OrderTracker {
     spec: OrderSpec,
+    /// Bound variables named by the spec.
     vars: HashMap<String, VarState>,
     /// Functions named by at least one rule that have been entered.
     armed_functions: HashMap<String, bool>,
@@ -100,10 +114,18 @@ impl OrderTracker {
         (vars + armed + self.reported.capacity()) as u64
     }
 
-    /// Binds variable `name` to `[addr, addr+len)`.
+    /// Binds variable `name` to `[addr, addr+len)`. Names no rule uses are
+    /// ignored.
     pub fn bind(&mut self, name: &str, addr: Addr, len: u64) {
-        let state = self.vars.entry(name.to_owned()).or_default();
-        state.range = Some((addr, len));
+        if let Some(state) = self.vars.get_mut(name) {
+            state.range = Some((addr, len));
+        } else if names(&self.spec, name) {
+            let state = VarState {
+                range: Some((addr, len)),
+                ..VarState::default()
+            };
+            self.vars.insert(name.to_owned(), state);
+        }
     }
 
     /// Marks entry into an application function (arms function-scoped rules).
@@ -115,6 +137,9 @@ impl OrderTracker {
 
     /// Observes a store.
     pub fn on_store(&mut self, addr: Addr, len: u64, strand: Option<StrandId>) {
+        if self.vars.is_empty() {
+            return;
+        }
         for state in self.vars.values_mut() {
             if let Some((va, vl)) = state.range {
                 if pm_trace::events::ranges_overlap(va, vl, addr, len) {
@@ -137,6 +162,9 @@ impl OrderTracker {
         strand_mode: bool,
         seq: u64,
     ) -> Vec<BugReport> {
+        if self.vars.is_empty() {
+            return Vec::new();
+        }
         for state in self.vars.values_mut() {
             if let Some((va, vl)) = state.range {
                 if state.dirty && pm_trace::events::ranges_overlap(va, vl, addr, len) {
@@ -204,6 +232,9 @@ impl OrderTracker {
     /// Global fences (plain `SFENCE` outside strands, `JoinStrand`) pass
     /// `None` and complete every pending flush.
     pub fn on_fence_scoped(&mut self, seq: u64, fence_strand: Option<StrandId>) -> Vec<BugReport> {
+        if self.vars.is_empty() {
+            return Vec::new();
+        }
         // Determine who becomes durable at this fence.
         let mut became_durable: Vec<String> = Vec::new();
         for (name, state) in self.vars.iter_mut() {
@@ -318,7 +349,11 @@ impl OrderTracker {
                 store_strand: r.opt_varint()?.map(|s| StrandId(s as u32)),
                 flush_strand: r.opt_varint()?.map(|s| StrandId(s as u32)),
             };
-            vars.insert(name, state);
+            // A checkpoint written before unused names were dropped may
+            // still carry some.
+            if names(&spec, &name) {
+                vars.insert(name, state);
+            }
         }
         let armed_count = r.count()?;
         let mut armed_functions = HashMap::new();
@@ -346,6 +381,9 @@ impl OrderTracker {
     }
 }
 
+/// Exact range of a store: `(addr, size)`.
+type StoreKey = (Addr, u64);
+
 /// Volatile-but-visible state of one store awaiting durability.
 #[derive(Debug, Clone)]
 struct PendingStore {
@@ -360,6 +398,136 @@ struct PendingStore {
     flushed_by: Option<(ThreadId, u64)>,
     /// A publication bug was already reported for this entry.
     reported: bool,
+    /// First of the entry's line slots (one per line it covers, linked
+    /// through [`LineSlot::sibling`] in line order).
+    first_slot: u32,
+}
+
+/// Membership of one pending store in one cache line's chain.
+#[derive(Debug, Clone, Copy)]
+struct LineSlot {
+    key: StoreKey,
+    /// Neighbours in the line's doubly linked chain.
+    prev: u32,
+    next: u32,
+    /// The same store's slot for its next line; doubles as the free-list
+    /// link for unused slots.
+    sibling: u32,
+}
+
+/// Lines a range is indexed under. A zero-size range still overlaps ranges
+/// that strictly contain its address, so it is indexed under its own line.
+fn index_lines(addr: Addr, len: u64) -> impl Iterator<Item = Addr> {
+    pmem_sim::lines_covering(addr, len.max(1) as usize)
+}
+
+/// Cache line → the pending stores covering it, as doubly linked slot
+/// chains in one slot `Vec` with a free list: linking a store costs one
+/// slot per line it covers, and no line owns a heap allocation.
+#[derive(Debug, Clone)]
+struct LineIndex {
+    /// Cache line → head of its slot chain.
+    heads: LineHashMap<Addr, u32>,
+    slots: Vec<LineSlot>,
+    /// Head of the free-slot list (linked through `sibling`).
+    free: u32,
+    /// Slots currently linked into a chain.
+    live: usize,
+}
+
+impl Default for LineIndex {
+    fn default() -> Self {
+        LineIndex {
+            heads: LineHashMap::default(),
+            slots: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+}
+
+impl LineIndex {
+    /// Heap bytes of the map entries and the live slots.
+    fn tracked_bytes(&self) -> usize {
+        self.heads.len() * (std::mem::size_of::<Addr>() + std::mem::size_of::<u32>())
+            + self.live * std::mem::size_of::<LineSlot>()
+    }
+
+    /// Links `key` under every line it covers; returns its first slot.
+    fn link(&mut self, key: StoreKey) -> u32 {
+        let mut first = NIL;
+        let mut last = NIL;
+        for line in index_lines(key.0, key.1) {
+            let head = self.heads.entry(line).or_insert(NIL);
+            let slot = LineSlot {
+                key,
+                prev: NIL,
+                next: *head,
+                sibling: NIL,
+            };
+            let idx = if self.free == NIL {
+                self.slots.push(slot);
+                slot_index(self.slots.len() - 1)
+            } else {
+                let idx = self.free;
+                self.free = self.slots[idx as usize].sibling;
+                self.slots[idx as usize] = slot;
+                idx
+            };
+            if *head != NIL {
+                self.slots[*head as usize].prev = idx;
+            }
+            *head = idx;
+            if last == NIL {
+                first = idx;
+            } else {
+                self.slots[last as usize].sibling = idx;
+            }
+            last = idx;
+            self.live += 1;
+        }
+        first
+    }
+
+    /// Unlinks the slots of `key`, starting at `first`, from every chain.
+    fn unlink(&mut self, key: StoreKey, first: u32) {
+        let mut idx = first;
+        for line in index_lines(key.0, key.1) {
+            let LineSlot {
+                prev,
+                next,
+                sibling,
+                ..
+            } = self.slots[idx as usize];
+            if next != NIL {
+                self.slots[next as usize].prev = prev;
+            }
+            if prev != NIL {
+                self.slots[prev as usize].next = next;
+            } else if next == NIL {
+                self.heads.remove(&line);
+            } else {
+                self.heads.insert(line, next);
+            }
+            self.slots[idx as usize].sibling = self.free;
+            self.free = idx;
+            self.live -= 1;
+            idx = sibling;
+        }
+    }
+
+    /// Keys linked under any line of `[addr, addr+len)` (a key spanning
+    /// several of those lines appears once per line).
+    fn linked(&self, addr: Addr, len: u64) -> impl Iterator<Item = StoreKey> + '_ {
+        index_lines(addr, len).flat_map(move |line| {
+            let mut slot = self.heads.get(&line).copied().unwrap_or(NIL);
+            std::iter::from_fn(move || {
+                let link = self.slots.get(slot as usize)?;
+                slot = link.next;
+                Some(link.key)
+            })
+        })
+    }
 }
 
 /// Cross-thread persistency-ordering tracker for lock-free PM structures.
@@ -381,12 +549,22 @@ struct PendingStore {
 /// behaves identically under sequential, sharded-parallel, supervised and
 /// streaming execution: a CAS and every store its window can probe always
 /// share a shard (the planner links them), and fences are broadcast.
+///
+/// Every pending store is linked under each cache line it covers, so a
+/// flush or a CAS probe visits only the stores on its own lines, and a
+/// fence visits only the stores its thread flushed: no event scans the
+/// whole pending set.
 #[derive(Debug, Clone, Default)]
 pub struct CrossThreadTracker {
     /// Fence epoch per thread: incremented at each of the thread's fences.
     fence_epochs: BTreeMap<ThreadId, u64>,
     /// Stores (keyed by exact range) that are not yet durably ordered.
-    pending: BTreeMap<(Addr, u64), PendingStore>,
+    pending: LineHashMap<StoreKey, PendingStore>,
+    /// Every pending store, linked under each line it covers.
+    index: LineIndex,
+    /// Per thread, the keys it flushed since its last fence (possibly
+    /// stale: re-checked against `flushed_by` at the fence).
+    flushed: BTreeMap<ThreadId, Vec<StoreKey>>,
 }
 
 impl CrossThreadTracker {
@@ -395,14 +573,18 @@ impl CrossThreadTracker {
         CrossThreadTracker::default()
     }
 
-    /// Estimated heap bytes held by the fence-epoch vector and the pending
-    /// store set. O(1): both maps expose their lengths.
+    /// Estimated heap bytes held by the fence-epoch vector, the pending
+    /// store set, its line index (map entries and live slots) and the
+    /// per-thread flushed-key lists. O(threads): every other part exposes
+    /// its length.
     pub fn tracked_bytes(&self) -> u64 {
         let epochs = self.fence_epochs.len()
             * (std::mem::size_of::<ThreadId>() + std::mem::size_of::<u64>());
         let pending = self.pending.len()
-            * (std::mem::size_of::<(Addr, u64)>() + std::mem::size_of::<PendingStore>());
-        (epochs + pending) as u64
+            * (std::mem::size_of::<StoreKey>() + std::mem::size_of::<PendingStore>());
+        let flushed: usize =
+            self.flushed.values().map(Vec::len).sum::<usize>() * std::mem::size_of::<StoreKey>();
+        (epochs + pending + self.index.tracked_bytes() + flushed) as u64
     }
 
     /// Current fence epoch of `tid`.
@@ -412,13 +594,24 @@ impl CrossThreadTracker {
 
     /// Observes a store: it is now visible-when-published and not durable.
     pub fn on_store(&mut self, seq: u64, addr: Addr, size: u64, tid: ThreadId) {
+        let key = (addr, size);
+        if let Some(entry) = self.pending.get_mut(&key) {
+            // Same range, same lines: the existing slots stay linked.
+            entry.store_tid = tid;
+            entry.store_seq = seq;
+            entry.flushed_by = None;
+            entry.reported = false;
+            return;
+        }
+        let first_slot = self.index.link(key);
         self.pending.insert(
-            (addr, size),
+            key,
             PendingStore {
                 store_tid: tid,
                 store_seq: seq,
                 flushed_by: None,
                 reported: false,
+                first_slot,
             },
         );
     }
@@ -426,10 +619,14 @@ impl CrossThreadTracker {
     /// Observes a flush by `tid` of `[addr, addr+len)`: overlapped pending
     /// stores now await `tid`'s next fence.
     pub fn on_flush(&mut self, addr: Addr, len: u64, tid: ThreadId) {
-        let epoch = self.epoch(tid);
-        for (&(sa, sl), entry) in self.pending.iter_mut() {
-            if entry.flushed_by.is_none() && ranges_overlap(sa, sl, addr, len) {
-                entry.flushed_by = Some((tid, epoch));
+        let flushed_by = Some((tid, self.epoch(tid)));
+        let flushed = self.flushed.entry(tid).or_default();
+        for key in self.index.linked(addr, len) {
+            let entry = self.pending.get_mut(&key).expect("linked keys are pending");
+            // A store met again under a later line is already flushed.
+            if entry.flushed_by.is_none() && ranges_overlap(key.0, key.1, addr, len) {
+                entry.flushed_by = flushed_by;
+                flushed.push(key);
             }
         }
     }
@@ -439,14 +636,27 @@ impl CrossThreadTracker {
     /// untouched — that asymmetry is exactly what the rules detect.
     pub fn on_fence(&mut self, tid: ThreadId) {
         *self.fence_epochs.entry(tid).or_insert(0) += 1;
-        self.pending
-            .retain(|_, entry| entry.flushed_by.map(|(t, _)| t) != Some(tid));
+        let Some(flushed) = self.flushed.get_mut(&tid) else {
+            return;
+        };
+        for key in flushed.drain(..) {
+            // The key may have been re-stored (or re-stored and flushed by
+            // another thread) since `tid` flushed it.
+            let still_ours = self
+                .pending
+                .get(&key)
+                .is_some_and(|entry| entry.flushed_by.map(|(t, _)| t) == Some(tid));
+            if still_ours {
+                let entry = self.pending.remove(&key).expect("checked above");
+                self.index.unlink(key, entry.first_slot);
+            }
+        }
     }
 
     /// Observes a CAS by `tid` at stream position `seq`. On success, probes
     /// the publish window starting at `new` and reports every pending store
-    /// it exposes (each once), then books the CAS target itself as a store.
-    /// Failed CAS neither publishes nor stores.
+    /// it exposes (each once, in key order), then books the CAS target
+    /// itself as a store. Failed CAS neither publishes nor stores.
     pub fn on_cas(
         &mut self,
         seq: u64,
@@ -459,12 +669,20 @@ impl CrossThreadTracker {
         if !success {
             return Vec::new();
         }
+        let mut exposed: Vec<StoreKey> = self
+            .index
+            .linked(new, CAS_PUBLISH_WINDOW)
+            .filter(|&(sa, sl)| ranges_overlap(sa, sl, new, CAS_PUBLISH_WINDOW))
+            .collect();
+        exposed.sort_unstable();
+        exposed.dedup();
         let mut reports = Vec::new();
-        for (&(sa, sl), entry) in self.pending.iter_mut() {
-            if entry.reported
-                || entry.store_seq == seq
-                || !ranges_overlap(sa, sl, new, CAS_PUBLISH_WINDOW)
-            {
+        for (sa, sl) in exposed {
+            let entry = self
+                .pending
+                .get_mut(&(sa, sl))
+                .expect("linked keys are pending");
+            if entry.reported || entry.store_seq == seq {
                 continue;
             }
             entry.reported = true;
@@ -493,14 +711,34 @@ impl CrossThreadTracker {
         reports
     }
 
+    /// Encodes the tracker's state exactly as it travels inside a session
+    /// checkpoint: fence epochs by thread, then pending stores by key.
+    pub fn checkpoint_bytes(&self) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        self.encode_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decodes [`CrossThreadTracker::checkpoint_bytes`] output, rebuilding
+    /// the line index. Trailing bytes are an error.
+    pub fn from_checkpoint_bytes(bytes: &[u8]) -> Result<Self, CheckpointDecodeError> {
+        let mut r = CkptReader::new(bytes);
+        let tracker = Self::decode_from(&mut r)?;
+        if !r.is_empty() {
+            return Err(ckpt::corrupt("trailing bytes after the tracker state"));
+        }
+        Ok(tracker)
+    }
+
     pub(crate) fn encode_into(&self, w: &mut CkptWriter) {
         w.usize(self.fence_epochs.len());
         for (tid, epoch) in &self.fence_epochs {
             w.varint(u64::from(tid.0));
             w.varint(*epoch);
         }
-        w.usize(self.pending.len());
-        for (&(addr, size), entry) in &self.pending {
+        let pending = ckpt::sorted_entries(&self.pending);
+        w.usize(pending.len());
+        for (&(addr, size), entry) in pending {
             w.varint(addr);
             w.varint(size);
             w.varint(u64::from(entry.store_tid.0));
@@ -519,15 +757,22 @@ impl CrossThreadTracker {
 
     pub(crate) fn decode_from(r: &mut CkptReader) -> Result<Self, CheckpointDecodeError> {
         let epoch_count = r.count()?;
-        let mut fence_epochs = BTreeMap::new();
+        let mut tracker = CrossThreadTracker::new();
         for _ in 0..epoch_count {
             let tid = ThreadId(r.varint()? as u32);
-            fence_epochs.insert(tid, r.varint()?);
+            tracker.fence_epochs.insert(tid, r.varint()?);
         }
         let pending_count = r.count()?;
-        let mut pending = BTreeMap::new();
         for _ in 0..pending_count {
             let key = (r.varint()?, r.varint()?);
+            // Stores and CASes carry u32 sizes; a larger one would make the
+            // line index below link billions of lines.
+            if key.1 > u64::from(u32::MAX) {
+                return Err(ckpt::corrupt(format!(
+                    "pending store size {} too large",
+                    key.1
+                )));
+            }
             let store_tid = ThreadId(r.varint()? as u32);
             let store_seq = r.varint()?;
             let flushed_by = match r.u8()? {
@@ -536,20 +781,15 @@ impl CrossThreadTracker {
                 b => return Err(ckpt::corrupt(format!("invalid flushed-by tag {b:#04x}"))),
             };
             let reported = r.bool()?;
-            pending.insert(
-                key,
-                PendingStore {
-                    store_tid,
-                    store_seq,
-                    flushed_by,
-                    reported,
-                },
-            );
+            tracker.on_store(store_seq, key.0, key.1, store_tid);
+            let entry = tracker.pending.get_mut(&key).expect("just stored");
+            entry.flushed_by = flushed_by;
+            entry.reported = reported;
+            if let Some((flusher, _)) = flushed_by {
+                tracker.flushed.entry(flusher).or_default().push(key);
+            }
         }
-        Ok(CrossThreadTracker {
-            fence_epochs,
-            pending,
-        })
+        Ok(tracker)
     }
 }
 
@@ -773,5 +1013,80 @@ mod tests {
         assert!(t
             .on_cas(2, 0x40, 8, B, 0x1000 - CAS_PUBLISH_WINDOW, true)
             .is_empty());
+    }
+
+    #[test]
+    fn tracked_bytes_follows_the_line_index_of_a_large_store() {
+        let mut t = CrossThreadTracker::new();
+        t.on_fence(A);
+        let empty = t.tracked_bytes();
+        t.on_store(0, 0x4000, 8192, A); // 128 lines
+        let stored = t.tracked_bytes();
+        let per_line = (std::mem::size_of::<Addr>()
+            + std::mem::size_of::<u32>()
+            + std::mem::size_of::<LineSlot>()) as u64;
+        assert!(stored - empty >= 128 * per_line, "{stored} vs {empty}");
+        t.on_flush(0x4000, 8192, A);
+        assert!(
+            t.tracked_bytes() > stored,
+            "the flushed-key list is counted"
+        );
+        t.on_fence(A);
+        assert_eq!(t.tracked_bytes(), empty);
+        // Freed slots are reused: the same store again costs the same.
+        t.on_store(1, 0x4000, 8192, A);
+        assert_eq!(t.tracked_bytes(), stored);
+        assert_eq!(t.index.slots.len(), 128);
+    }
+
+    #[test]
+    fn flush_visits_only_the_stores_on_its_lines() {
+        let mut t = CrossThreadTracker::new();
+        t.on_store(0, 0x10_0000, 8192, A);
+        for i in 0..10_000u64 {
+            t.on_store(i + 1, 0x20_0000 + i * 64, 8, A);
+        }
+        // A flush elsewhere visits nothing; one inside the big store and on
+        // a small store's line visits just those.
+        assert_eq!(t.index.linked(0x90_0000, 64).count(), 0);
+        assert_eq!(t.index.linked(0x10_0040, 64).count(), 1);
+        assert_eq!(t.index.linked(0x20_0040, 64).count(), 1);
+        t.on_flush(0x90_0000, 64, B);
+        t.on_fence(B);
+        assert_eq!(t.pending.len(), 10_001);
+        t.on_flush(0x20_0040, 64, B);
+        t.on_fence(B);
+        assert_eq!(t.pending.len(), 10_000);
+    }
+
+    #[test]
+    fn zero_size_store_is_found_by_flushes_that_strictly_contain_it() {
+        let mut t = CrossThreadTracker::new();
+        t.on_store(0, 0x1008, 0, A);
+        t.on_flush(0x1000, 64, A);
+        t.on_fence(A);
+        assert!(t.pending.is_empty());
+        // A zero-size store at the flush's first byte does not overlap it.
+        t.on_store(1, 0x1000, 0, A);
+        t.on_flush(0x1000, 64, A);
+        t.on_fence(A);
+        assert_eq!(t.pending.len(), 1);
+    }
+
+    #[test]
+    fn unused_names_are_not_tracked() {
+        let mut t = tracker("a", "b");
+        t.bind("unused", 0, 4096);
+        assert_eq!(t.vars.len(), 2);
+        let mut idle = OrderTracker::new(OrderSpec::new());
+        idle.bind("a", 0, 8);
+        assert!(idle.vars.is_empty());
+        idle.on_store(0, 8, None);
+        assert!(idle.on_flush(0, 64, None, true, 1).is_empty());
+        assert!(idle.on_fence(2).is_empty());
+        assert_eq!(
+            idle.tracked_bytes(),
+            OrderTracker::new(OrderSpec::new()).tracked_bytes()
+        );
     }
 }

@@ -119,6 +119,9 @@ impl SpaceStats {
 pub struct BookkeepingSpace {
     array: MemLocArray,
     intervals: IntervalList,
+    /// Reused buffer for [`IntervalList::candidates`] (scratch only: never
+    /// encoded, and empty between flushes).
+    candidates: Vec<usize>,
     tree: AvlTree,
     merge_threshold: usize,
     stats: SpaceStats,
@@ -137,6 +140,7 @@ impl BookkeepingSpace {
         BookkeepingSpace {
             array: MemLocArray::new(array_capacity),
             intervals: IntervalList::new(),
+            candidates: Vec::new(),
             tree: AvlTree::new(),
             merge_threshold,
             stats: SpaceStats::default(),
@@ -212,6 +216,7 @@ impl BookkeepingSpace {
         Ok(BookkeepingSpace {
             array,
             intervals,
+            candidates: Vec::new(),
             tree,
             merge_threshold,
             stats,
@@ -308,7 +313,9 @@ impl BookkeepingSpace {
         // Array first, at CLF-interval granularity. Only intervals that
         // stored to the flushed lines can change state (the line index
         // keeps huge transactions linear).
-        for i in self.intervals.candidates(addr, size) {
+        let mut candidates = std::mem::take(&mut self.candidates);
+        self.intervals.candidates(addr, size, &mut candidates);
+        for &i in &candidates {
             let meta = self.intervals.intervals()[i];
             if !meta.overlaps(addr, size) {
                 continue;
@@ -356,6 +363,8 @@ impl BookkeepingSpace {
                 }
             }
         }
+        candidates.clear();
+        self.candidates = candidates;
 
         // Then the tree (§4.3: "After updating the flushing states in the
         // array, PMDebugger traverses the AVL tree").
@@ -453,8 +462,8 @@ impl BookkeepingSpace {
         outcome.persisted += self.tree.drain_flushed();
 
         // 2. Array, via interval metadata.
-        let intervals: Vec<_> = self.intervals.intervals().to_vec();
-        for meta in intervals {
+        for i in 0..self.intervals.len() {
+            let meta = self.intervals.intervals()[i];
             match meta.state {
                 IntervalState::AllFlushed => {
                     // Collective O(1) deletion: metadata invalidation only.

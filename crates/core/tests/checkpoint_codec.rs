@@ -209,3 +209,106 @@ fn corruption_classes_have_typed_errors() {
         Err(CheckpointDecodeError::ChecksumMismatch { .. })
     ));
 }
+
+/// A fixed multi-thread stream that leaves cross-thread state pending and
+/// CLF intervals open at every cut: stores of 0–8192 bytes on three
+/// threads, partial and foreign flushes, fences, successful and failed
+/// CASes, and `NameRange` bindings for the two variables the spec orders.
+fn pinned_stream() -> Vec<PmEvent> {
+    let mut state = 0x5EED_u64;
+    let mut next = move |bound: u64| {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % bound
+    };
+    let mut events = vec![
+        PmEvent::NameRange {
+            name: "head".to_owned(),
+            addr: 0x1000,
+            size: 8,
+        },
+        PmEvent::NameRange {
+            name: "node".to_owned(),
+            addr: 0x1040,
+            size: 64,
+        },
+        PmEvent::Store {
+            addr: 0x2000,
+            size: 8192,
+            tid: ThreadId(0),
+            strand: None,
+            in_epoch: false,
+        },
+    ];
+    for _ in 0..400 {
+        let tid = ThreadId(next(3) as u32);
+        let addr = 0x1000 + next(96) * 8;
+        events.push(match next(10) {
+            0..=3 => PmEvent::Store {
+                addr,
+                size: [0, 8, 8, 16, 64][next(5) as usize],
+                tid,
+                strand: None,
+                in_epoch: false,
+            },
+            4..=6 => PmEvent::Flush {
+                kind: FlushKind::Clwb,
+                addr: addr & !63,
+                size: [8, 64, 64, 128][next(4) as usize],
+                tid,
+                strand: None,
+            },
+            7 | 8 => PmEvent::Fence {
+                kind: FenceKind::Sfence,
+                tid,
+                strand: None,
+                in_epoch: false,
+            },
+            _ => PmEvent::Cas {
+                addr: 0x1000,
+                size: 8,
+                tid,
+                old: 0,
+                new: 0x1000 + next(96) * 8,
+                success: next(4) != 0,
+            },
+        });
+    }
+    events
+}
+
+/// The checkpoint encoding of a session with pending cross-thread state
+/// and open CLF intervals is pinned: these digests were produced by the
+/// scanning cross-thread tracker and the `Vec`-valued line index, so the
+/// line-indexed versions must write the same bytes, and checkpoints that
+/// older builds wrote still decode and resume to the batch verdict.
+#[test]
+fn checkpoint_bytes_are_pinned_for_a_cross_thread_stream() {
+    let mut config = DebuggerConfig::for_model(PersistencyModel::Strict);
+    config.order_spec.add_rule("head", "node", None);
+    let events = pinned_stream();
+    let expected = PmDebugger::new(config.clone()).detect_stream(events.iter());
+    let mut digests = Vec::new();
+    for cut in [3, 57, 190, 333, events.len()] {
+        let mut session = DetectSession::new(config.clone());
+        let mut reports = session.feed(&events[..cut]);
+        let bytes = session.checkpoint().to_bytes();
+        digests.push(bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        }));
+        let mut resumed = DetectSession::resume(SessionCheckpoint::from_bytes(&bytes).unwrap());
+        reports.extend(resumed.feed(&events[cut..]));
+        reports.extend(resumed.finish());
+        assert_eq!(report_hash(&reports), report_hash(&expected), "cut {cut}");
+    }
+    let pinned: [u64; 5] = [
+        89631897239245307,
+        4880559355997077839,
+        989367893294328357,
+        15036465847175837913,
+        15297389251723995338,
+    ];
+    assert_eq!(digests, pinned);
+}

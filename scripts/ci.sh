@@ -2,7 +2,7 @@
 # Repo CI gate: staged pipeline with per-stage timing. Run from anywhere.
 #
 #   lint -> fmt -> unit -> integration -> docs -> bench-smoke -> ingest-bench
-#     -> obs-smoke -> ingest-torture -> supervisor-chaos -> serve-chaos
+#     -> perfbench -> obs-smoke -> ingest-torture -> supervisor-chaos -> serve-chaos
 #     -> concurrent-chaos -> journal-chaos -> mem-chaos
 #
 # Every run writes target/ci_timings.json (override: PM_CI_TIMINGS_JSON), a
@@ -30,6 +30,10 @@
 #             baseline (scripts/bench_gate.sh ingest): identical=true on
 #             every workload, stable report hashes, and the zero-copy
 #             speedup within tolerance of scripts/ingest_baseline.json
+# perfbench   the end-to-end benchmark's own tests (perfbench/, a package
+#             outside the workspace): builds the release benchmark and
+#             checks its verdict oracles on shrunken inputs, so a detector
+#             change cannot break the benchmark unnoticed
 # obs-smoke   metrics-overhead benchmark in smoke mode, failing if the
 #             metrics-on slowdown exceeds PM_OBS_MAX_OVERHEAD_PCT (5%)
 # ingest-torture
@@ -87,7 +91,7 @@ cd "$(dirname "$0")/.."
 
 STAGES=("$@")
 if [ ${#STAGES[@]} -eq 0 ]; then
-  STAGES=(lint fmt unit integration docs bench-smoke ingest-bench obs-smoke ingest-torture supervisor-chaos serve-chaos concurrent-chaos journal-chaos mem-chaos)
+  STAGES=(lint fmt unit integration docs bench-smoke ingest-bench perfbench obs-smoke ingest-torture supervisor-chaos serve-chaos concurrent-chaos journal-chaos mem-chaos)
 fi
 
 # Shared wall-clock budget for the chaos/torture sweeps, in seconds.
@@ -422,6 +426,9 @@ for stage in "${STAGES[@]}"; do
       ;;
     ingest-bench)
       run_stage ingest-bench scripts/bench_gate.sh ingest
+      ;;
+    perfbench)
+      run_stage perfbench cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
       ;;
     obs-smoke)
       run_stage obs-smoke obs_smoke_stage
