@@ -27,11 +27,12 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::Duration;
 
 use pm_trace::{
-    frame_spans, ingest_bytes, replay_finish, to_binary, IngestLimits, IngestMode, Trace,
+    frame_spans, ingest_bytes, replay_finish, splitmix64, to_binary, IngestLimits, IngestMode,
+    Trace,
 };
 use pmdebugger::PmDebugger;
 
-use crate::budget::{splitmix64, Budget, Truncation};
+use crate::budget::{Budget, Truncation};
 use crate::error::ChaosError;
 use crate::report::json_escape;
 

@@ -38,11 +38,11 @@ use pm_serve::{
     client::connect_stream, fetch_stats, push_bytes_keyed, session_preface, JournalEnv, JournalIo,
     Listen, PushResponse, ServeConfig, Server, SessionStatus, JOURNAL_FILE_MAGIC,
 };
-use pm_trace::{ingest_bytes, report_hash, to_binary, IngestLimits, IngestMode};
+use pm_trace::{ingest_bytes, report_hash, splitmix64, to_binary, IngestLimits, IngestMode};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
-use crate::budget::{splitmix64, Truncation};
+use crate::budget::Truncation;
 use crate::report::json_escape;
 use crate::serve_sweep::ServeViolation;
 

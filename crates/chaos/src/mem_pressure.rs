@@ -27,11 +27,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pm_serve::{push_bytes, Listen, PushResponse, ServeConfig, Server, SessionStatus};
-use pm_trace::{ingest_bytes, report_hash, to_binary, IngestLimits, IngestMode, PmEvent};
+use pm_trace::{
+    ingest_bytes, report_hash, splitmix64, to_binary, IngestLimits, IngestMode, PmEvent,
+};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, GovernorConfig, MemGovernor, PersistencyModel, PmDebugger};
 
-use crate::budget::{splitmix64, Truncation};
+use crate::budget::Truncation;
 use crate::report::json_escape;
 
 /// The memory scenario one plan runs.

@@ -10,10 +10,10 @@
 
 use std::collections::HashMap;
 
-use pm_trace::PmEvent;
+use pm_trace::{splitmix64, PmEvent};
 use pmem_sim::{line_base, lines_covering, PmPool, CACHE_LINE_SIZE};
 
-use crate::budget::{splitmix64, Budget};
+use crate::budget::Budget;
 use crate::error::ChaosError;
 
 /// One per-line piece of an original address range in the compact pool.

@@ -12,11 +12,11 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use pm_obs::MetricsRegistry;
-use pm_trace::{PmEvent, Trace};
+use pm_trace::{splitmix64, PmEvent, Trace};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 use pmem_sim::CrashImage;
 
-use crate::budget::{splitmix64, Budget, Truncation};
+use crate::budget::{Budget, Truncation};
 use crate::error::ChaosError;
 use crate::replay::ReplayContext;
 use crate::report::{CampaignReport, UnrecoverableState};

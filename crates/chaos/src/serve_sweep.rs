@@ -32,11 +32,13 @@ use pm_serve::{
     client::connect_stream, fetch_stats, push_bytes, FaultPoint, Listen, PushResponse, ServeConfig,
     SessionStatus,
 };
-use pm_trace::{ingest_bytes, report_hash, to_binary, IngestLimits, IngestMode, PmEvent};
+use pm_trace::{
+    ingest_bytes, report_hash, splitmix64, to_binary, IngestLimits, IngestMode, PmEvent,
+};
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, DetectSession, PersistencyModel, PmDebugger};
 
-use crate::budget::{splitmix64, Truncation};
+use crate::budget::Truncation;
 use crate::report::json_escape;
 
 /// What one hostile client does to the server.

@@ -25,13 +25,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use pm_trace::{BugReport, Detector, Trace};
+use pm_trace::{splitmix64, BugReport, Detector, Trace};
 use pmdebugger::{
     detect_supervised, expected_surviving_reports, DebuggerConfig, FailMode, FaultPlan,
     ParallelConfig, PersistencyModel, PmDebugger, SupervisorConfig,
 };
 
-use crate::budget::{splitmix64, Truncation};
+use crate::budget::Truncation;
 use crate::report::json_escape;
 
 /// Tuning for one [`supervisor_sweep`].

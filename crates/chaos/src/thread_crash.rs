@@ -24,7 +24,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-use pm_trace::{report_hash, BugReport, Detector, PmEvent, Trace};
+use pm_trace::{report_hash, splitmix64, BugReport, Detector, PmEvent, Trace};
 use pm_workloads::{
     concurrent_multithread_trace, CasHash, ConcurrentWorkload, MsQueue, TreiberStack,
 };
@@ -33,7 +33,7 @@ use pmdebugger::{
     PersistencyModel, PmDebugger, SupervisorConfig,
 };
 
-use crate::budget::{splitmix64, Truncation};
+use crate::budget::Truncation;
 use crate::report::json_escape;
 
 /// Tuning for one [`thread_crash_sweep`].

@@ -37,7 +37,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use pm_obs::MetricsRegistry;
-use pm_trace::{BugKind, BugReport, PmEvent, ShardPlan, Trace};
+use pm_trace::{splitmix64, BugKind, BugReport, PmEvent, ShardPlan, Trace};
 
 use crate::config::DebuggerConfig;
 use crate::debugger::PmDebugger;
@@ -241,14 +241,6 @@ pub struct InjectedFault {
 pub struct FaultPlan {
     seed: u64,
     faults: Vec<InjectedFault>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {

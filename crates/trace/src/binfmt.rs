@@ -12,11 +12,15 @@
 //!
 //! * every frame carries one event and a CRC32 (IEEE) over its payload, so
 //!   corruption is detected per frame, not per file;
-//! * the 4-byte frame magic is a resync point: a salvage reader
-//!   ([`crate::ingest`]) that hits a corrupt frame scans forward to the
-//!   next magic and keeps going;
+//! * the 4-byte frame magic is a resync point: a salvage read that hits a
+//!   corrupt frame scans forward to the next magic and keeps going;
 //! * payloads are tag + LEB128 varints, so typical events cost 4–10 payload
 //!   bytes and the format stays architecture-independent.
+//!
+//! This module also holds the one v2 frame reader, `FrameReader`: header,
+//! frame stepping, resync, budgets and [`IngestReport`] accounting live
+//! there once. [`from_binary`], [`frame_spans`], [`crate::StreamDecoder`],
+//! [`crate::ingest_reader`] and [`crate::FrameWalker`] are adapters over it.
 //!
 //! Conversion to and from the v1 text format is lossless in both
 //! directions: both formats serialize the full [`Trace`] event model, so
@@ -25,9 +29,13 @@
 
 use std::error::Error;
 use std::fmt;
+use std::time::Instant;
 
 use crate::annotations::Annotation;
 use crate::events::{FenceKind, PmEvent, PmEventRef, StrandId, ThreadId};
+use crate::ingest::{
+    IngestError, IngestLimits, IngestMode, IngestReport, IngestTruncation, TraceFormat,
+};
 use crate::recorder::Trace;
 use pmem_sim::FlushKind;
 
@@ -728,189 +736,400 @@ pub fn decode_payload(payload: &[u8]) -> Result<PmEvent, String> {
     decode_payload_ref(payload).map(|event| event.to_owned())
 }
 
-/// Outcome of attempting to read one frame at a buffer position.
-#[derive(Debug)]
-pub(crate) enum FrameStep {
-    /// A valid frame: the decoded event and the buffer position just past
-    /// the frame.
-    Ok {
-        /// Decoded event.
-        event: PmEvent,
-        /// Position just past the frame.
-        end: usize,
-    },
-    /// The buffer ends before the frame does; more input is needed.
-    Incomplete,
-    /// The bytes at this position are not a valid frame.
-    Corrupt {
-        /// What was wrong.
-        reason: String,
-    },
-}
-
-/// Outcome of attempting to read one frame, with the event borrowed from
-/// the buffer — the zero-copy form of [`FrameStep`].
-#[derive(Debug)]
-pub(crate) enum FrameStepRef<'a> {
-    /// A valid frame: the borrowed event and the buffer position just past
-    /// the frame.
-    Ok {
-        /// Decoded event borrowing from the buffer.
-        event: PmEventRef<'a>,
-        /// Position just past the frame.
-        end: usize,
-    },
-    /// The buffer ends before the frame does; more input is needed.
-    Incomplete,
-    /// The bytes at this position are not a valid frame.
-    Corrupt {
-        /// What was wrong.
-        reason: String,
-    },
-}
-
-/// Attempts to read one frame starting exactly at `pos`, yielding a
-/// borrowed event. With `eof` set, a frame running past the buffer is
-/// corruption (truncation) instead of [`FrameStepRef::Incomplete`].
-///
-/// CRC verification uses the slicing-by-8 kernel ([`crc32_fast`]), which is
-/// bit-identical to the byte-at-a-time [`crc32`]; every other check (and
-/// every error string) is shared with the owned [`step_frame`], which is a
-/// thin wrapper over this function.
+/// Reads one frame starting exactly at `pos`: `Ok(Some((event, end)))` for
+/// a valid frame ending at `end`, `Ok(None)` when the buffer ends inside
+/// the frame and `eof` is unset, and `Err(reason)` for corruption
+/// (including truncation at `eof`). CRCs use the slicing-by-8 kernel
+/// ([`crc32_fast`]), bit-identical to [`crc32`].
 #[inline(always)]
-pub(crate) fn step_frame_ref(buf: &[u8], pos: usize, eof: bool) -> FrameStepRef<'_> {
+fn read_frame(
+    buf: &[u8],
+    pos: usize,
+    eof: bool,
+) -> Result<Option<(PmEventRef<'_>, usize)>, String> {
     let avail = buf.len().saturating_sub(pos);
     if avail < FRAME_HEADER_LEN {
         if !eof {
-            return FrameStepRef::Incomplete;
+            return Ok(None);
         }
-        return FrameStepRef::Corrupt {
-            reason: format!("truncated frame header ({avail} of {FRAME_HEADER_LEN} bytes)"),
-        };
+        return Err(format!(
+            "truncated frame header ({avail} of {FRAME_HEADER_LEN} bytes)"
+        ));
     }
     // A 4-byte word compare; slice equality on so short a range can lower
     // to a libc bcmp call, which costs more than the compare itself.
     let magic = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
     if magic != u32::from_le_bytes(FRAME_MAGIC) {
-        return FrameStepRef::Corrupt {
-            reason: format!(
-                "bad frame magic {:02x}{:02x}{:02x}{:02x}",
-                buf[pos],
-                buf[pos + 1],
-                buf[pos + 2],
-                buf[pos + 3]
-            ),
-        };
+        let m = &buf[pos..pos + 4];
+        return Err(format!(
+            "bad frame magic {:02x}{:02x}{:02x}{:02x}",
+            m[0], m[1], m[2], m[3]
+        ));
     }
     let len = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
     if len > MAX_FRAME_LEN {
-        return FrameStepRef::Corrupt {
-            reason: format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"),
-        };
+        return Err(format!(
+            "frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"
+        ));
     }
     let want = FRAME_HEADER_LEN + len;
     if avail < want {
         if !eof {
-            return FrameStepRef::Incomplete;
+            return Ok(None);
         }
-        return FrameStepRef::Corrupt {
-            reason: format!(
-                "truncated frame payload ({} of {len} bytes)",
-                avail - FRAME_HEADER_LEN
-            ),
-        };
+        let got = avail - FRAME_HEADER_LEN;
+        return Err(format!("truncated frame payload ({got} of {len} bytes)"));
     }
     let crc_stored = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().expect("4 bytes"));
     let payload = &buf[pos + FRAME_HEADER_LEN..pos + want];
     let crc_actual = crc32_fast(payload);
     if crc_stored != crc_actual {
-        return FrameStepRef::Corrupt {
-            reason: format!(
-                "CRC mismatch (stored {crc_stored:#010x}, computed {crc_actual:#010x})"
-            ),
-        };
+        return Err(format!(
+            "CRC mismatch (stored {crc_stored:#010x}, computed {crc_actual:#010x})"
+        ));
     }
     match decode_payload_ref(payload) {
-        Ok(event) => FrameStepRef::Ok {
-            event,
-            end: pos + want,
-        },
-        Err(reason) => FrameStepRef::Corrupt {
-            reason: format!("undecodable payload: {reason}"),
-        },
+        Ok(event) => Ok(Some((event, pos + want))),
+        Err(reason) => Err(format!("undecodable payload: {reason}")),
     }
 }
 
-/// Attempts to read one frame starting exactly at `pos`. With `eof` set, a
-/// frame running past the buffer is corruption (truncation) instead of
-/// [`FrameStep::Incomplete`].
+/// Offset of the first frame magic in `haystack` — the resync anchor.
+pub(crate) fn contains_frame_magic(haystack: &[u8]) -> Option<usize> {
+    haystack
+        .windows(FRAME_MAGIC.len())
+        .position(|w| w == FRAME_MAGIC)
+}
+
+/// Upper bound on frames prevalidated per batch pass.
+const BATCH: usize = 128;
+
+/// What one [`FrameReader::next`] call produced.
+pub(crate) enum Step<E> {
+    /// One decoded frame.
+    Event(E),
+    /// The window is not final and ends inside the next frame (or resync
+    /// scan): admit more input and call again.
+    NeedMore,
+    /// The read is over: drained, stopped by a budget, or failed.
+    Done,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Waiting for (and validating) the 8-byte `PMTRACE2` header.
+    Header,
+    /// Scanning for the next frame magic after corruption.
+    Resync,
+    Frames,
+    Done,
+}
+
+/// The pm-trace v2 decode state machine — the one place frames are
+/// stepped, resynced, budgeted and accounted.
 ///
-/// This is the owned-event baseline the ingest-throughput benchmark
-/// measures against; it deliberately keeps the byte-at-a-time [`crc32`]
-/// (the zero-copy [`step_frame_ref`] uses the bit-identical [`crc32_fast`]
-/// kernel). Both verify the same checks in the same order and share
-/// [`decode_payload_ref`] for payload decoding, so they accept exactly the
-/// same byte strings with exactly the same error strings.
-pub(crate) fn step_frame(buf: &[u8], pos: usize, eof: bool) -> FrameStep {
-    let avail = buf.len().saturating_sub(pos);
-    if avail < FRAME_HEADER_LEN {
-        if !eof {
-            return FrameStep::Incomplete;
+/// The reader owns no bytes. Each [`FrameReader::next`] call gets the
+/// caller's window; the caller may drop the window's consumed front
+/// between calls ([`FrameReader::rebase`]), and the window end is final
+/// once the input hit EOF ([`FrameReader::finish`]) or the byte budget
+/// ([`FrameReader::admit`]). `E` is the event type handed out: borrowed
+/// [`PmEventRef`]s over a window that outlives the reader, owned
+/// [`PmEvent`]s over a buffer that moves.
+#[derive(Debug)]
+pub(crate) struct FrameReader<E> {
+    mode: IngestMode,
+    limits: IngestLimits,
+    start: Instant,
+    phase: Phase,
+    /// Window offset of the next frame or resync scan.
+    pos: usize,
+    /// Absolute input offset of the window's first byte.
+    base: u64,
+    /// Input admitted within the byte budget.
+    bytes_read: u64,
+    eof: bool,
+    /// The byte budget cut the input short.
+    capped: bool,
+    /// The event or deadline budget that stopped the read.
+    stopped_by: Option<IngestTruncation>,
+    report: IngestReport,
+    /// Frames validated and decoded ahead of the cursor by one batch pass,
+    /// as `(event, frame length)`, last frame first so `pop` serves them in
+    /// order. Each is accounted as it is *served*, so the report never
+    /// runs ahead of the events handed out.
+    batch: Vec<(E, u32)>,
+    /// Scratch for [`FrameReader::fill`]: `(payload start, payload len)`.
+    spans: Vec<(usize, usize)>,
+}
+
+impl<E> FrameReader<E> {
+    pub(crate) fn new(mode: IngestMode, limits: &IngestLimits, start: Instant) -> Self {
+        FrameReader {
+            mode,
+            limits: limits.clone(),
+            start,
+            phase: Phase::Header,
+            pos: 0,
+            base: 0,
+            bytes_read: 0,
+            eof: false,
+            capped: false,
+            stopped_by: None,
+            report: IngestReport::new(TraceFormat::BinV2, mode),
+            batch: Vec::with_capacity(BATCH),
+            spans: Vec::with_capacity(BATCH),
         }
-        return FrameStep::Corrupt {
-            reason: format!("truncated frame header ({avail} of {FRAME_HEADER_LEN} bytes)"),
-        };
     }
-    // A 4-byte word compare; slice equality on so short a range can lower
-    // to a libc bcmp call, which costs more than the compare itself.
-    let magic = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-    if magic != u32::from_le_bytes(FRAME_MAGIC) {
-        return FrameStep::Corrupt {
-            reason: format!(
-                "bad frame magic {:02x}{:02x}{:02x}{:02x}",
-                buf[pos],
-                buf[pos + 1],
-                buf[pos + 2],
-                buf[pos + 3]
-            ),
-        };
-    }
-    let len = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes")) as usize;
-    if len > MAX_FRAME_LEN {
-        return FrameStep::Corrupt {
-            reason: format!("frame length {len} exceeds the {MAX_FRAME_LEN}-byte cap"),
-        };
-    }
-    let want = FRAME_HEADER_LEN + len;
-    if avail < want {
-        if !eof {
-            return FrameStep::Incomplete;
+
+    /// Admits up to `offered` more input bytes under the byte budget and
+    /// returns how many fit; hitting the budget caps the input. Nothing is
+    /// admitted after EOF or the cap.
+    pub(crate) fn admit(&mut self, offered: usize) -> usize {
+        if self.at_end() {
+            return 0;
         }
-        return FrameStep::Corrupt {
-            reason: format!(
-                "truncated frame payload ({} of {len} bytes)",
-                avail - FRAME_HEADER_LEN
-            ),
-        };
+        let room = (self.limits.max_bytes - self.bytes_read).min(offered as u64);
+        self.bytes_read += room;
+        self.capped = room < offered as u64 || self.bytes_read >= self.limits.max_bytes;
+        room as usize
     }
-    let crc_stored = u32::from_le_bytes(buf[pos + 8..pos + 12].try_into().expect("4 bytes"));
-    let payload = &buf[pos + FRAME_HEADER_LEN..pos + want];
-    let crc_actual = crc32(payload);
-    if crc_stored != crc_actual {
-        return FrameStep::Corrupt {
-            reason: format!(
-                "CRC mismatch (stored {crc_stored:#010x}, computed {crc_actual:#010x})"
-            ),
-        };
+
+    /// Declares end of input.
+    pub(crate) fn finish(&mut self) {
+        self.eof = true;
     }
-    match decode_payload(payload) {
-        Ok(event) => FrameStep::Ok {
-            event,
-            end: pos + want,
-        },
-        Err(reason) => FrameStep::Corrupt {
-            reason: format!("undecodable payload: {reason}"),
-        },
+
+    fn at_end(&self) -> bool {
+        self.eof || self.capped
+    }
+
+    pub(crate) fn bytes_read(&self) -> u64 {
+        self.bytes_read
+    }
+
+    /// Window offset before which no byte is read again.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The caller dropped the first `n <= pos()` bytes of its window.
+    pub(crate) fn rebase(&mut self, n: usize) {
+        self.pos -= n;
+        self.base += n as u64;
+    }
+
+    pub(crate) fn is_done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    pub(crate) fn report(&self) -> &IngestReport {
+        &self.report
+    }
+
+    /// Refreshes `bytes_read`, `elapsed` and the truncation verdict (the
+    /// budget that stopped the read, else the byte cap if it bit). Safe
+    /// mid-stream: it never changes the final verdict.
+    pub(crate) fn refresh(&mut self) -> &IngestReport {
+        let capped_at = self.capped.then_some(self.limits.max_bytes);
+        self.report.truncated = self.stopped_by;
+        self.report.finalize(self.bytes_read, self.start, capped_at);
+        &self.report
+    }
+
+    fn stop(&mut self, by: Option<IngestTruncation>) -> Step<E> {
+        self.stopped_by = by;
+        self.phase = Phase::Done;
+        self.refresh();
+        Step::Done
+    }
+
+    /// Serves one prevalidated frame, applying its accounting.
+    #[inline(always)]
+    pub(crate) fn serve(&mut self) -> Option<E> {
+        let (event, len) = self.batch.pop()?;
+        self.report.record_frames(1, u64::from(len));
+        self.pos += len as usize;
+        Some(event)
+    }
+
+    /// Serves every prevalidated frame to `f` with batch-wide accounting —
+    /// the same as serving them one by one, since serving records no
+    /// errors and so cannot move the clean/resynced split mid-batch.
+    pub(crate) fn drain_batch(&mut self, mut f: impl FnMut(E)) {
+        let served = self.batch.len() as u64;
+        let mut bytes = 0u64;
+        for (event, len) in self.batch.drain(..).rev() {
+            bytes += u64::from(len);
+            f(event);
+        }
+        self.pos += bytes as usize;
+        self.report.record_frames(served, bytes);
+    }
+
+    /// Pulls the next event out of `window`, converting decoded frames
+    /// with `conv`.
+    ///
+    /// # Errors
+    ///
+    /// In [`IngestMode::Strict`] only: [`IngestError::Corrupt`] at the
+    /// first bad frame, [`IngestError::Empty`] /
+    /// [`IngestError::UnknownFormat`] when the input does not open with
+    /// the `PMTRACE2` magic. The read is over after an error.
+    #[inline]
+    pub(crate) fn next<'b>(
+        &mut self,
+        window: &'b [u8],
+        conv: impl Fn(PmEventRef<'b>) -> E,
+    ) -> Result<Step<E>, IngestError> {
+        // Hot path: the fill budget guarantees the event cap cannot be hit
+        // mid-batch, and batches are only filled without a deadline, so
+        // skipping the per-frame checks below is observably identical.
+        match self.serve() {
+            Some(event) => Ok(Step::Event(event)),
+            None => self.step(window, conv),
+        }
+    }
+
+    // The slow path, out of line so `next` stays small enough to inline.
+    #[inline(never)]
+    fn step<'b>(
+        &mut self,
+        window: &'b [u8],
+        conv: impl Fn(PmEventRef<'b>) -> E,
+    ) -> Result<Step<E>, IngestError> {
+        loop {
+            match self.phase {
+                Phase::Done => return Ok(Step::Done),
+                Phase::Header if window.len() < FILE_MAGIC.len() && !self.at_end() => {
+                    return Ok(Step::NeedMore)
+                }
+                Phase::Header if window.starts_with(&FILE_MAGIC) => {
+                    self.pos = FILE_MAGIC.len();
+                    self.phase = Phase::Frames;
+                }
+                Phase::Header if self.mode == IngestMode::Strict => {
+                    self.stop(None);
+                    let detail = "stream does not start with `PMTRACE2` binary magic".to_owned();
+                    return Err(if window.is_empty() {
+                        IngestError::Empty
+                    } else {
+                        IngestError::UnknownFormat { detail }
+                    });
+                }
+                Phase::Header if window.is_empty() => return Ok(self.stop(None)),
+                Phase::Header => {
+                    // Damaged file header: account it as a skipped frame
+                    // and lock onto the first frame magic instead.
+                    let reason = "missing/damaged `PMTRACE2` file header".to_owned();
+                    self.report.record_skip(0, reason);
+                    self.phase = Phase::Resync;
+                }
+                Phase::Resync | Phase::Frames => {}
+            }
+            if let Some(deadline) = self.limits.expired(self.start) {
+                return Ok(self.stop(Some(deadline)));
+            }
+            if self.report.frames_ok >= self.limits.max_events {
+                let limit = self.limits.max_events;
+                return Ok(self.stop(Some(IngestTruncation::Events { limit })));
+            }
+            if self.phase == Phase::Resync {
+                match contains_frame_magic(&window[self.pos..]) {
+                    Some(j) => {
+                        self.pos += j;
+                        self.report.resyncs += 1;
+                        self.phase = Phase::Frames;
+                    }
+                    None if self.at_end() => return Ok(self.stop(None)),
+                    None => {
+                        // A magic may straddle the window end: rescan the
+                        // last three bytes once more input arrives.
+                        let tail = window.len().saturating_sub(FRAME_MAGIC.len() - 1);
+                        self.pos = self.pos.max(tail);
+                        return Ok(Step::NeedMore);
+                    }
+                }
+            }
+            if self.pos >= window.len() && self.at_end() {
+                return Ok(self.stop(None));
+            }
+            // Deadline-limited reads stay on the single-step path so the
+            // expiry check keeps its per-frame granularity.
+            if self.limits.deadline.is_none() {
+                self.fill(window, &conv);
+                if let Some(event) = self.serve() {
+                    return Ok(Step::Event(event));
+                }
+            }
+            match read_frame(window, self.pos, self.at_end()) {
+                Ok(Some((event, end))) => {
+                    self.report.record_frames(1, (end - self.pos) as u64);
+                    self.pos = end;
+                    return Ok(Step::Event(conv(event)));
+                }
+                Ok(None) => return Ok(Step::NeedMore),
+                Err(reason) => {
+                    let locus = self.base + self.pos as u64;
+                    if self.mode == IngestMode::Strict {
+                        let frames_ok = self.report.frames_ok;
+                        self.stop(None);
+                        return Err(IngestError::Corrupt {
+                            format: TraceFormat::BinV2,
+                            locus,
+                            frames_ok,
+                            reason,
+                        });
+                    }
+                    self.report.record_skip(locus, reason);
+                    self.pos += 1;
+                    self.phase = Phase::Resync;
+                }
+            }
+        }
+    }
+
+    /// Batch prevalidation: CRC-checks and decodes up to [`BATCH`]
+    /// consecutive clean frames in one tight pass with no per-frame state
+    /// checks. The batch is capped by the remaining event budget, and
+    /// anything but a clean in-bounds frame ends it, to be re-stepped (and
+    /// diagnosed) by [`read_frame`].
+    fn fill<'b>(&mut self, window: &'b [u8], conv: &impl Fn(PmEventRef<'b>) -> E) {
+        let budget = (self.limits.max_events - self.report.frames_ok).min(BATCH as u64) as usize;
+        // Pass 1 — frame boundaries only (magic, length cap, bounds).
+        self.spans.clear();
+        let mut pos = self.pos;
+        while self.spans.len() < budget {
+            let Some(header) = window.get(pos..pos + FRAME_HEADER_LEN) else {
+                break;
+            };
+            let magic = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+            let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
+            if magic != u32::from_le_bytes(FRAME_MAGIC)
+                || len > MAX_FRAME_LEN
+                || window.len() - pos - FRAME_HEADER_LEN < len
+            {
+                break;
+            }
+            self.spans.push((pos + FRAME_HEADER_LEN, len));
+            pos += FRAME_HEADER_LEN + len;
+        }
+        // Pass 2 — one tight CRC sweep, so the checksum chains of adjacent
+        // frames overlap instead of serializing through per-frame branches.
+        let bad = self.spans.iter().position(|&(start, len)| {
+            let stored = u32::from_le_bytes(window[start - 4..start].try_into().expect("4 bytes"));
+            crc32_fast(&window[start..start + len]) != stored
+        });
+        // Pass 3 — decode the CRC-verified payloads, last first, so serving
+        // pops the batch in frame order. An undecodable payload drops the
+        // frames after it.
+        for &(start, len) in self.spans[..bad.unwrap_or(self.spans.len())].iter().rev() {
+            match decode_payload_ref(&window[start..start + len]) {
+                Ok(event) => self
+                    .batch
+                    .push((conv(event), (FRAME_HEADER_LEN + len) as u32)),
+                Err(_) => self.batch.clear(),
+            }
+        }
     }
 }
 
@@ -937,45 +1156,62 @@ impl fmt::Display for BinParseError {
 
 impl Error for BinParseError {}
 
+/// Walks a complete image strictly, with no event, byte or time budget,
+/// handing each frame's event and `[start, end)` span to `f`.
+fn walk_strict<'a>(
+    bytes: &'a [u8],
+    mut f: impl FnMut(PmEventRef<'a>, (usize, usize)),
+) -> Result<(), BinParseError> {
+    let unbounded = IngestLimits::default()
+        .with_max_events(u64::MAX)
+        .with_max_bytes(u64::MAX);
+    let mut reader = FrameReader::new(IngestMode::Strict, &unbounded, Instant::now());
+    reader.admit(bytes.len());
+    reader.finish();
+    let mut start = FILE_MAGIC.len();
+    let (offset, frame, reason) = loop {
+        match reader.next(bytes, |event| event) {
+            Ok(Step::Event(event)) => {
+                f(event, (start, reader.pos()));
+                start = reader.pos();
+            }
+            Ok(_) => return Ok(()),
+            Err(IngestError::Corrupt {
+                locus,
+                frames_ok,
+                reason,
+                ..
+            }) => break (locus, frames_ok, reason),
+            // Only the file header check fails any other way.
+            Err(_) => {
+                let n = bytes.len();
+                break (
+                    0,
+                    0,
+                    format!("missing file magic `PMTRACE2` ({n} byte(s) available)"),
+                );
+            }
+        }
+    };
+    Err(BinParseError {
+        offset,
+        frame,
+        reason,
+    })
+}
+
 /// Parses a complete v2 binary image strictly: the first structural
-/// problem aborts the parse. For partial/corrupt images use the salvage
-/// reader in [`crate::ingest`] instead.
+/// problem aborts the parse, and no event or byte budget applies. For
+/// partial/corrupt images use the salvage reader in [`crate::ingest`]
+/// instead.
 ///
 /// # Errors
 ///
 /// Returns [`BinParseError`] with the byte offset and frame index of the
 /// first corruption.
 pub fn from_binary(bytes: &[u8]) -> Result<Trace, BinParseError> {
-    if bytes.len() < FILE_MAGIC.len() || bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
-        return Err(BinParseError {
-            offset: 0,
-            frame: 0,
-            reason: format!(
-                "missing file magic `PMTRACE2` ({} byte(s) available)",
-                bytes.len()
-            ),
-        });
-    }
     let mut trace = Trace::new();
-    let mut pos = FILE_MAGIC.len();
-    let mut frame = 0u64;
-    while pos < bytes.len() {
-        match step_frame(bytes, pos, true) {
-            FrameStep::Ok { event, end } => {
-                trace.push(event);
-                pos = end;
-                frame += 1;
-            }
-            FrameStep::Corrupt { reason } => {
-                return Err(BinParseError {
-                    offset: pos as u64,
-                    frame,
-                    reason,
-                });
-            }
-            FrameStep::Incomplete => unreachable!("eof mode never yields Incomplete"),
-        }
-    }
+    walk_strict(bytes, |event, _| trace.push(event.to_owned()))?;
     Ok(trace)
 }
 
@@ -986,31 +1222,8 @@ pub fn from_binary(bytes: &[u8]) -> Result<Trace, BinParseError> {
 ///
 /// Returns [`BinParseError`] if the image is not a clean v2 file.
 pub fn frame_spans(bytes: &[u8]) -> Result<Vec<(usize, usize)>, BinParseError> {
-    if bytes.len() < FILE_MAGIC.len() || bytes[..FILE_MAGIC.len()] != FILE_MAGIC {
-        return Err(BinParseError {
-            offset: 0,
-            frame: 0,
-            reason: "missing file magic `PMTRACE2`".to_owned(),
-        });
-    }
     let mut spans = Vec::new();
-    let mut pos = FILE_MAGIC.len();
-    while pos < bytes.len() {
-        match step_frame(bytes, pos, true) {
-            FrameStep::Ok { end, .. } => {
-                spans.push((pos, end));
-                pos = end;
-            }
-            FrameStep::Corrupt { reason } => {
-                return Err(BinParseError {
-                    offset: pos as u64,
-                    frame: spans.len() as u64,
-                    reason,
-                });
-            }
-            FrameStep::Incomplete => unreachable!("eof mode never yields Incomplete"),
-        }
-    }
+    walk_strict(bytes, |_, span| spans.push(span))?;
     Ok(spans)
 }
 

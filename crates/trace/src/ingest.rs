@@ -2,11 +2,12 @@
 //!
 //! `pmdbg` consumes recorded traces that may be multi-GB, partially
 //! written (a recorder that died mid-run), or bit-rotted. This module is
-//! the single entry point for reading them:
+//! the entry point for reading them:
 //!
-//! * **Auto-sniffing** — the reader looks at the first bytes and picks the
-//!   v1 text parser or the v2 binary frame walker; unknown input produces
-//!   a diagnostic naming both expected formats and what was found instead.
+//! * **Auto-sniffing** — one classifier looks at the first read chunk and
+//!   picks the v1 text parser or the v2 binary frame reader; unknown input
+//!   produces a diagnostic naming both expected formats and what was
+//!   found instead. [`crate::zero_copy`] calls the same classifier.
 //! * **Two modes** — [`IngestMode::Strict`] aborts on the first corrupt
 //!   frame/line (with offset and reason); [`IngestMode::Salvage`] skips
 //!   it, resynchronizes on the next frame magic (binary) or line boundary
@@ -21,15 +22,17 @@
 //!   (frames ok/skipped, resyncs, bytes salvaged, first/last error), which
 //!   the CLI surfaces as `ingest.*` metrics in the run manifest.
 //!
-//! Memory stays bounded by a small rolling buffer (one maximum frame plus
-//! one read chunk) regardless of input size; the decoded [`Trace`] is
-//! bounded by `max_events`.
+//! v2 frames go through the crate's one frame reader ([`crate::binfmt`]):
+//! [`StreamDecoder`] runs it over a rolling buffer, and [`ingest_reader`]'s
+//! binary branch pushes read chunks into a `StreamDecoder`. Memory stays
+//! bounded by one maximum frame plus one read chunk regardless of input
+//! size; the decoded [`Trace`] is bounded by `max_events`.
 
 use std::fmt;
 use std::io::Read;
 use std::time::{Duration, Instant};
 
-use crate::binfmt::{self, FrameStep, FILE_MAGIC, FRAME_MAGIC};
+use crate::binfmt::{contains_frame_magic, FrameReader, Step, FILE_MAGIC};
 use crate::events::PmEvent;
 use crate::format;
 use crate::recorder::Trace;
@@ -39,7 +42,7 @@ use crate::recorder::Trace;
 pub(crate) const CHUNK: usize = 64 * 1024;
 
 /// Longest text line the streaming reader accepts before declaring the
-/// line corrupt (the text format's analogue of [`binfmt::MAX_FRAME_LEN`]).
+/// line corrupt (the text format's analogue of [`crate::binfmt::MAX_FRAME_LEN`]).
 const MAX_LINE_LEN: usize = 64 * 1024;
 
 /// Bytes inspected when sniffing the format.
@@ -115,6 +118,14 @@ impl IngestLimits {
     pub fn with_deadline(mut self, limit: Duration) -> Self {
         self.deadline = Some(limit);
         self
+    }
+
+    /// The deadline truncation, once a read begun at `start` is out of time.
+    pub(crate) fn expired(&self, start: Instant) -> Option<IngestTruncation> {
+        let limit = self.deadline.filter(|&d| start.elapsed() >= d)?;
+        Some(IngestTruncation::Deadline {
+            limit_ms: limit.as_millis() as u64,
+        })
     }
 }
 
@@ -229,7 +240,9 @@ impl IngestReport {
         }
     }
 
-    pub(crate) fn record_error(&mut self, locus: u64, reason: String) {
+    /// Counts one corrupt frame/line skipped at `locus`.
+    pub(crate) fn record_skip(&mut self, locus: u64, reason: String) {
+        self.frames_skipped += 1;
         let err = FrameError { locus, reason };
         if self.first_error.is_none() {
             self.first_error = Some(err.clone());
@@ -237,26 +250,28 @@ impl IngestReport {
         self.last_error = Some(err);
     }
 
-    /// Counts one successfully decoded frame/line of `bytes` bytes,
-    /// attributing it to the clean prefix or the post-corruption tail.
-    pub(crate) fn record_frame(&mut self, bytes: u64) {
-        self.frames_ok += 1;
+    /// Counts decoded frames/lines and their bytes toward the clean prefix
+    /// or, after the first error, the resynced tail.
+    pub(crate) fn record_frames(&mut self, frames: u64, bytes: u64) {
+        self.frames_ok += frames;
         self.bytes_salvaged += bytes;
         if self.first_error.is_none() {
-            self.frames_clean += 1;
+            self.frames_clean += frames;
         } else {
-            self.frames_resynced += 1;
+            self.frames_resynced += frames;
         }
     }
 
-    /// Shared end-of-read bookkeeping: total bytes pulled from the input
-    /// and wall-clock elapsed since `start`. Every ingestion path — batch
-    /// binary, batch text, the streaming decoder's report refresh, and the
-    /// zero-copy walker — funnels through this, so `elapsed` is always
-    /// populated no matter which reader ran.
-    pub(crate) fn finalize(&mut self, bytes_read: u64, start: Instant) {
+    /// End-of-read bookkeeping shared by the text and v2 frame readers:
+    /// total bytes pulled from the input, wall-clock elapsed since `start`,
+    /// and, when no other budget stopped the read, the byte cap
+    /// `capped_at` if it cut the input short.
+    pub(crate) fn finalize(&mut self, bytes_read: u64, start: Instant, capped_at: Option<u64>) {
         self.bytes_read = bytes_read;
         self.elapsed = start.elapsed();
+        if self.truncated.is_none() {
+            self.truncated = capped_at.map(|limit| IngestTruncation::Bytes { limit });
+        }
     }
 
     /// `true` when nothing was skipped or truncated — the input was
@@ -383,7 +398,7 @@ pub fn sniff_format(head: &[u8]) -> Option<TraceFormat> {
     None
 }
 
-pub(crate) fn first_line_of(head: &[u8]) -> String {
+fn first_line_of(head: &[u8]) -> String {
     let window = &head[..head.len().min(SNIFF_LEN)];
     let line = match window.iter().position(|&b| b == b'\n') {
         Some(idx) => &window[..idx],
@@ -392,11 +407,9 @@ pub(crate) fn first_line_of(head: &[u8]) -> String {
     String::from_utf8_lossy(line).trim_end_matches('\r').into()
 }
 
-pub(crate) fn looks_textual(head: &[u8]) -> bool {
+/// Whether a (non-empty) sniff window is mostly printable text.
+fn looks_textual(head: &[u8]) -> bool {
     let window = &head[..head.len().min(SNIFF_LEN)];
-    if window.is_empty() {
-        return false;
-    }
     let printable = window
         .iter()
         .filter(|&&b| b == b'\n' || b == b'\r' || b == b'\t' || (0x20..0x7F).contains(&b))
@@ -404,21 +417,53 @@ pub(crate) fn looks_textual(head: &[u8]) -> bool {
     printable * 10 >= window.len() * 9
 }
 
-pub(crate) fn contains_frame_magic(haystack: &[u8]) -> Option<usize> {
-    haystack
-        .windows(FRAME_MAGIC.len())
-        .position(|w| w == FRAME_MAGIC)
+/// Classifies an input from its first read chunk — the one sniffer behind
+/// both [`ingest_reader`] and [`crate::zero_copy`]. Salvage mode also
+/// accepts headerless v1 text whose first line parses as an event, and
+/// binary images with a damaged file header but frame magics to lock onto.
+pub(crate) fn classify(head: &[u8], mode: IngestMode) -> Result<TraceFormat, IngestError> {
+    if head.is_empty() {
+        return Err(IngestError::Empty);
+    }
+    if let Some(format) = sniff_format(head) {
+        return Ok(format);
+    }
+    let first_line = first_line_of(head);
+    if first_line.trim_start().starts_with("# pm-trace") {
+        return Err(IngestError::UnknownFormat {
+            detail: format!("found unsupported header `{}`", first_line.trim()),
+        });
+    }
+    let headerless_event = format::parse_line(1, &first_line).ok().flatten().is_some();
+    if mode == IngestMode::Salvage {
+        if headerless_event {
+            return Ok(TraceFormat::TextV1);
+        }
+        if contains_frame_magic(head).is_some() {
+            return Ok(TraceFormat::BinV2);
+        }
+    }
+    let detail = if headerless_event {
+        format!(
+            "first line `{}` parses as a trace event, so this looks like headerless v1 \
+             text (--salvage accepts it)",
+            first_line.trim()
+        )
+    } else if looks_textual(head) {
+        format!("input is text whose first line is `{}`", first_line.trim())
+    } else {
+        "input looks like unrecognized binary data".to_owned()
+    };
+    Err(IngestError::UnknownFormat { detail })
 }
 
-/// Rolling input buffer: reads in chunks, tracks absolute offsets, and
-/// enforces the byte budget at the source.
+/// Rolling input buffer: reads in chunks and enforces the byte budget at
+/// the source.
 struct Pump<R> {
     reader: R,
     buf: Vec<u8>,
     /// Reusable read destination, so short reads don't re-zero a chunk.
     scratch: Vec<u8>,
-    /// Absolute input offset of `buf[0]`.
-    base: u64,
     /// Total bytes pulled from the reader.
     bytes_read: u64,
     /// No more input (true EOF).
@@ -434,7 +479,6 @@ impl<R: Read> Pump<R> {
             reader,
             buf: Vec::with_capacity(CHUNK),
             scratch: vec![0; CHUNK],
-            base: 0,
             bytes_read: 0,
             eof: false,
             capped: false,
@@ -466,29 +510,6 @@ impl<R: Read> Pump<R> {
         }
         Ok(n)
     }
-
-    /// Drops the first `n` buffered bytes.
-    fn consume(&mut self, n: usize) {
-        self.buf.drain(..n);
-        self.base += n as u64;
-    }
-}
-
-struct Clock {
-    start: Instant,
-    deadline: Option<Duration>,
-}
-
-impl Clock {
-    fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| self.start.elapsed() >= d)
-    }
-
-    fn truncation(&self) -> IngestTruncation {
-        IngestTruncation::Deadline {
-            limit_ms: self.deadline.map_or(0, |d| d.as_millis() as u64),
-        }
-    }
 }
 
 /// Streams a trace from `reader`, auto-sniffing the format.
@@ -508,55 +529,15 @@ pub fn ingest_reader<R: Read>(
     mode: IngestMode,
     limits: &IngestLimits,
 ) -> Result<(Trace, IngestReport), IngestError> {
-    let clock = Clock {
-        start: Instant::now(),
-        deadline: limits.deadline,
-    };
+    let start = Instant::now();
     let mut pump = Pump::new(reader, limits.max_bytes);
     while pump.buf.len() < SNIFF_LEN && !pump.at_end() {
         pump.refill()?;
     }
-    if pump.buf.is_empty() {
-        return Err(IngestError::Empty);
+    match classify(&pump.buf, mode)? {
+        TraceFormat::BinV2 => ingest_frames(pump, mode, limits, start),
+        TraceFormat::TextV1 => ingest_text(pump, mode, limits, start),
     }
-
-    if pump.buf.starts_with(&FILE_MAGIC) {
-        pump.consume(FILE_MAGIC.len());
-        return ingest_binary(pump, mode, limits, clock, false);
-    }
-    let first_line = first_line_of(&pump.buf);
-    if first_line.trim() == format::HEADER {
-        return ingest_text(pump, mode, limits, clock);
-    }
-
-    // Unknown leader: describe what we see, and in salvage mode try the
-    // degraded entries.
-    if first_line.trim_start().starts_with("# pm-trace") {
-        return Err(IngestError::UnknownFormat {
-            detail: format!("found unsupported header `{}`", first_line.trim()),
-        });
-    }
-    let headerless_event = format::parse_line(1, &first_line).ok().flatten().is_some();
-    if mode == IngestMode::Salvage {
-        if headerless_event {
-            return ingest_text(pump, mode, limits, clock);
-        }
-        if contains_frame_magic(&pump.buf).is_some() {
-            return ingest_binary(pump, mode, limits, clock, true);
-        }
-    }
-    let detail = if headerless_event {
-        format!(
-            "first line `{}` parses as a trace event, so this looks like headerless v1 \
-             text (--salvage accepts it)",
-            first_line.trim()
-        )
-    } else if looks_textual(&pump.buf) {
-        format!("input is text whose first line is `{}`", first_line.trim())
-    } else {
-        "input looks like unrecognized binary data".to_owned()
-    };
-    Err(IngestError::UnknownFormat { detail })
 }
 
 /// Streams a trace from an in-memory byte image (see [`ingest_reader`]).
@@ -572,113 +553,50 @@ pub fn ingest_bytes(
     ingest_reader(bytes, mode, limits)
 }
 
-#[allow(clippy::needless_pass_by_value)]
-fn ingest_binary<R: Read>(
+/// The binary branch of [`ingest_reader`]: pushes read chunks into a
+/// [`StreamDecoder`], reading the next chunk only when the frame reader
+/// asks for more input — so `bytes_read` stays chunk-granular.
+fn ingest_frames<R: Read>(
     mut pump: Pump<R>,
     mode: IngestMode,
     limits: &IngestLimits,
-    clock: Clock,
-    mut resyncing: bool,
+    start: Instant,
 ) -> Result<(Trace, IngestReport), IngestError> {
+    let mut decoder = StreamDecoder {
+        buf: Vec::with_capacity(CHUNK),
+        reader: FrameReader::new(mode, limits, start),
+    };
     let mut trace = Trace::new();
-    let mut report = IngestReport::new(TraceFormat::BinV2, mode);
-    if resyncing {
-        // Damaged file header: the sniffer found frame magic further in.
-        report.record_error(0, "missing/damaged `PMTRACE2` file header".to_owned());
-        report.frames_skipped += 1;
+    loop {
+        decoder.push(&pump.buf);
+        pump.buf.clear();
+        if pump.eof {
+            decoder.finish();
+        }
+        loop {
+            decoder.reader.drain_batch(|event| trace.push(event));
+            match decoder.step()? {
+                Step::Event(event) => trace.push(event),
+                Step::NeedMore => break,
+                Step::Done => return Ok((trace, decoder.report().clone())),
+            }
+        }
+        pump.refill()?;
     }
-    let mut pos = 0usize;
-    'outer: loop {
-        if clock.expired() {
-            report.truncated = Some(clock.truncation());
-            break;
-        }
-        if report.frames_ok >= limits.max_events {
-            report.truncated = Some(IngestTruncation::Events {
-                limit: limits.max_events,
-            });
-            break;
-        }
-        if resyncing {
-            // Scan forward to the next frame magic, pumping as needed.
-            loop {
-                if let Some(j) = contains_frame_magic(&pump.buf[pos..]) {
-                    pos += j;
-                    resyncing = false;
-                    report.resyncs += 1;
-                    break;
-                }
-                // Keep a 3-byte tail in case a magic straddles the chunk.
-                let keep = pump.buf.len().saturating_sub(pos).min(3);
-                pump.consume(pump.buf.len() - keep);
-                pos = 0;
-                if pump.at_end() {
-                    break 'outer;
-                }
-                pump.refill()?;
-                if clock.expired() {
-                    report.truncated = Some(clock.truncation());
-                    break 'outer;
-                }
-            }
-        }
-        if pos >= pump.buf.len() && pump.at_end() {
-            break;
-        }
-        match binfmt::step_frame(&pump.buf, pos, pump.at_end()) {
-            FrameStep::Ok { event, end } => {
-                report.record_frame((end - pos) as u64);
-                trace.push(event);
-                pos = end;
-                if pos >= CHUNK {
-                    pump.consume(pos);
-                    pos = 0;
-                }
-            }
-            FrameStep::Incomplete => {
-                pump.consume(pos);
-                pos = 0;
-                pump.refill()?;
-            }
-            FrameStep::Corrupt { reason } => {
-                let locus = pump.base + pos as u64;
-                if mode == IngestMode::Strict {
-                    return Err(IngestError::Corrupt {
-                        format: TraceFormat::BinV2,
-                        locus,
-                        frames_ok: report.frames_ok,
-                        reason,
-                    });
-                }
-                report.record_error(locus, reason);
-                report.frames_skipped += 1;
-                pos += 1;
-                resyncing = true;
-            }
-        }
-    }
-    if report.truncated.is_none() && pump.capped {
-        report.truncated = Some(IngestTruncation::Bytes {
-            limit: limits.max_bytes,
-        });
-    }
-    report.finalize(pump.bytes_read, clock.start);
-    Ok((trace, report))
 }
 
-#[allow(clippy::needless_pass_by_value)]
 fn ingest_text<R: Read>(
     mut pump: Pump<R>,
     mode: IngestMode,
     limits: &IngestLimits,
-    clock: Clock,
+    start: Instant,
 ) -> Result<(Trace, IngestReport), IngestError> {
     let mut trace = Trace::new();
     let mut report = IngestReport::new(TraceFormat::TextV1, mode);
     let mut line_no = 0u64;
     loop {
-        if clock.expired() {
-            report.truncated = Some(clock.truncation());
+        if let Some(deadline) = limits.expired(start) {
+            report.truncated = Some(deadline);
             break;
         }
         if report.frames_ok >= limits.max_events {
@@ -716,21 +634,20 @@ fn ingest_text<R: Read>(
                         reason,
                     });
                 }
-                report.record_error(line_no, reason);
-                report.frames_skipped += 1;
+                report.record_skip(line_no, reason);
                 // Drain until the newline shows up.
                 loop {
-                    pump.consume(pump.buf.len());
+                    pump.buf.clear();
                     pump.refill()?;
                     if let Some(idx) = pump.buf.iter().position(|&b| b == b'\n') {
-                        pump.consume(idx + 1);
+                        pump.buf.drain(..=idx);
                         break;
                     }
                     if pump.at_end() {
-                        pump.consume(pump.buf.len());
+                        pump.buf.clear();
                         break;
                     }
-                    if clock.expired() {
+                    if limits.expired(start).is_some() {
                         break;
                     }
                 }
@@ -746,7 +663,7 @@ fn ingest_text<R: Read>(
         };
         match parsed {
             Ok(Some(event)) => {
-                report.record_frame(consumed as u64);
+                report.record_frames(1, consumed as u64);
                 trace.push(event);
             }
             Ok(None) => {}
@@ -759,56 +676,29 @@ fn ingest_text<R: Read>(
                         reason,
                     });
                 }
-                report.record_error(line_no, reason);
-                report.frames_skipped += 1;
+                report.record_skip(line_no, reason);
             }
         }
-        pump.consume(consumed);
+        pump.buf.drain(..consumed);
     }
-    if report.truncated.is_none() && pump.capped {
-        report.truncated = Some(IngestTruncation::Bytes {
-            limit: limits.max_bytes,
-        });
-    }
-    report.finalize(pump.bytes_read, clock.start);
+    let capped_at = pump.capped.then_some(limits.max_bytes);
+    report.finalize(pump.bytes_read, start, capped_at);
     Ok((trace, report))
 }
 
-/// Push-based incremental decoder for the v2 binary frame stream — the
-/// frame-pull half of [`ingest_reader`] for callers that do not own the
-/// read loop (the `pmdbg serve` session host feeds it socket chunks as
-/// they arrive and drains events into the detection state machine between
-/// reads, so per-session memory stays bounded by the decoder's rolling
-/// buffer plus one read chunk).
+/// Push-based incremental decoder for the v2 binary frame stream, for
+/// callers that do not own the read loop (the `pmdbg serve` session host
+/// feeds it socket chunks and drains events between reads).
 ///
-/// The decoder mirrors the batch reader's salvage semantics exactly:
-/// feeding the same byte stream through [`StreamDecoder::push`] /
-/// [`StreamDecoder::next_event`] — under any chunking whatsoever — yields
-/// the same events and the same [`IngestReport`] accounting as
+/// It keeps a rolling buffer and runs the crate's one v2 frame reader over
+/// it, handing out each event as `PmEventRef::to_owned`. So under any
+/// chunking it yields the same events, budgets and [`IngestReport`] as
 /// [`ingest_bytes`] over the whole image (property-tested in
-/// `crates/trace/tests/ingest_properties.rs`). Budgets behave like the
-/// batch reader's too: bytes past `max_bytes` are dropped at the door,
-/// events past `max_events` stop decoding, and both mark the report
-/// truncated instead of erroring.
+/// `crates/trace/tests/ingest_properties.rs`).
 #[derive(Debug)]
 pub struct StreamDecoder {
-    mode: IngestMode,
-    limits: IngestLimits,
     buf: Vec<u8>,
-    /// Absolute stream offset of `buf[0]`.
-    base: u64,
-    /// Parse cursor within `buf`.
-    pos: usize,
-    /// Still waiting for (and validating) the 8-byte `PMTRACE2` header.
-    expect_header: bool,
-    /// Skipping forward to the next frame magic after corruption.
-    resyncing: bool,
-    /// [`StreamDecoder::finish`] was called: the buffer end is final.
-    eof: bool,
-    /// The byte budget dropped input (mirrors the pump's `capped`).
-    capped: bool,
-    start: Instant,
-    report: IngestReport,
+    reader: FrameReader<PmEvent>,
 }
 
 impl StreamDecoder {
@@ -816,69 +706,45 @@ impl StreamDecoder {
     /// starts counting immediately.
     pub fn new(mode: IngestMode, limits: IngestLimits) -> Self {
         StreamDecoder {
-            mode,
-            limits: limits.clone(),
             buf: Vec::with_capacity(CHUNK),
-            base: 0,
-            pos: 0,
-            expect_header: true,
-            resyncing: false,
-            eof: false,
-            capped: false,
-            start: Instant::now(),
-            report: IngestReport::new(TraceFormat::BinV2, mode),
+            reader: FrameReader::new(mode, &limits, Instant::now()),
         }
     }
 
     /// Appends a chunk of the stream. Bytes beyond the `max_bytes` budget
     /// are dropped (and the report marked truncated) rather than buffered;
-    /// pushing after [`StreamDecoder::finish`] is ignored.
+    /// pushing after [`StreamDecoder::finish`] is ignored, and after an
+    /// event-budget or deadline stop the bytes are only counted.
     pub fn push(&mut self, bytes: &[u8]) {
-        if self.eof || self.capped {
+        let admitted = self.reader.admit(bytes.len());
+        if self.reader.is_done() {
             return;
         }
-        let room = (self.limits.max_bytes - self.report.bytes_read).min(bytes.len() as u64);
-        self.buf.extend_from_slice(&bytes[..room as usize]);
-        self.report.bytes_read += room;
-        if room < bytes.len() as u64 || self.report.bytes_read >= self.limits.max_bytes {
-            self.capped = true;
+        // Drop the consumed prefix before the buffer grows.
+        let consumed = self.reader.pos();
+        if consumed > 0 {
+            self.buf.drain(..consumed);
+            self.reader.rebase(consumed);
         }
+        self.buf.extend_from_slice(&bytes[..admitted]);
     }
 
     /// Declares end of stream: a trailing partial frame becomes corruption
     /// (truncation) on the next [`StreamDecoder::next_event`] drain.
     pub fn finish(&mut self) {
-        self.eof = true;
+        self.reader.finish();
     }
 
     /// Bytes currently buffered but not yet consumed — the session host's
     /// backpressure signal.
     pub fn buffered_bytes(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len() - self.reader.pos()
     }
 
-    /// Live accounting so far. `elapsed` is refreshed on every call.
+    /// Live accounting so far. `elapsed` is refreshed on every call; the
+    /// call never changes the final truncation verdict.
     pub fn report(&mut self) -> &IngestReport {
-        if self.report.truncated.is_none() && self.capped {
-            self.report.truncated = Some(IngestTruncation::Bytes {
-                limit: self.limits.max_bytes,
-            });
-        }
-        let bytes_read = self.report.bytes_read;
-        self.report.finalize(bytes_read, self.start);
-        &self.report
-    }
-
-    fn expired(&self) -> bool {
-        self.limits
-            .deadline
-            .is_some_and(|d| self.start.elapsed() >= d)
-    }
-
-    fn truncate(&mut self, t: IngestTruncation) {
-        if self.report.truncated.is_none() {
-            self.report.truncated = Some(t);
-        }
+        self.reader.refresh()
     }
 
     /// Pulls the next decoded event. `Ok(None)` means "need more input"
@@ -891,111 +757,18 @@ impl StreamDecoder {
     /// first bad frame, [`IngestError::UnknownFormat`] / [`IngestError::Empty`]
     /// when the stream does not open with the `PMTRACE2` magic.
     pub fn next_event(&mut self) -> Result<Option<PmEvent>, IngestError> {
-        loop {
-            if self.expired() {
-                let t = IngestTruncation::Deadline {
-                    limit_ms: self.limits.deadline.map_or(0, |d| d.as_millis() as u64),
-                };
-                self.truncate(t);
-                return Ok(None);
-            }
-            if self.report.frames_ok >= self.limits.max_events {
-                self.truncate(IngestTruncation::Events {
-                    limit: self.limits.max_events,
-                });
-                return Ok(None);
-            }
-            if self.expect_header {
-                if self.buf.len() < FILE_MAGIC.len() {
-                    if !self.at_end() {
-                        return Ok(None);
-                    }
-                    if self.buf.is_empty() {
-                        return if self.mode == IngestMode::Strict {
-                            Err(IngestError::Empty)
-                        } else {
-                            Ok(None)
-                        };
-                    }
-                }
-                if self.buf.starts_with(&FILE_MAGIC) {
-                    self.consume_to(FILE_MAGIC.len());
-                } else {
-                    if self.mode == IngestMode::Strict {
-                        return Err(IngestError::UnknownFormat {
-                            detail: "stream does not start with `PMTRACE2` binary magic".to_owned(),
-                        });
-                    }
-                    // Damaged stream header: lock onto the first frame
-                    // magic instead (mirrors the batch reader's salvage
-                    // entry for headerless binary images).
-                    self.report
-                        .record_error(0, "missing/damaged `PMTRACE2` file header".to_owned());
-                    self.report.frames_skipped += 1;
-                    self.resyncing = true;
-                }
-                self.expect_header = false;
-                continue;
-            }
-            if self.resyncing {
-                match contains_frame_magic(&self.buf[self.pos..]) {
-                    Some(j) => {
-                        self.pos += j;
-                        self.resyncing = false;
-                        self.report.resyncs += 1;
-                    }
-                    None => {
-                        // Keep a 3-byte tail in case a magic straddles the
-                        // next chunk.
-                        let keep = (self.buf.len() - self.pos).min(3);
-                        self.consume_to(self.buf.len() - keep);
-                        return Ok(None);
-                    }
-                }
-            }
-            if self.pos >= self.buf.len() && self.at_end() {
-                return Ok(None);
-            }
-            match binfmt::step_frame(&self.buf, self.pos, self.at_end()) {
-                FrameStep::Ok { event, end } => {
-                    self.report.record_frame((end - self.pos) as u64);
-                    self.pos = end;
-                    if self.pos >= CHUNK {
-                        self.consume_to(self.pos);
-                    }
-                    return Ok(Some(event));
-                }
-                FrameStep::Incomplete => {
-                    self.consume_to(self.pos);
-                    return Ok(None);
-                }
-                FrameStep::Corrupt { reason } => {
-                    let locus = self.base + self.pos as u64;
-                    if self.mode == IngestMode::Strict {
-                        return Err(IngestError::Corrupt {
-                            format: TraceFormat::BinV2,
-                            locus,
-                            frames_ok: self.report.frames_ok,
-                            reason,
-                        });
-                    }
-                    self.report.record_error(locus, reason);
-                    self.report.frames_skipped += 1;
-                    self.pos += 1;
-                    self.resyncing = true;
-                }
-            }
+        // Served ahead of the `Step` plumbing: the per-event fast path.
+        if let Some(event) = self.reader.serve() {
+            return Ok(Some(event));
+        }
+        match self.step()? {
+            Step::Event(event) => Ok(Some(event)),
+            Step::NeedMore | Step::Done => Ok(None),
         }
     }
 
-    fn at_end(&self) -> bool {
-        self.eof || self.capped
-    }
-
-    fn consume_to(&mut self, n: usize) {
-        self.buf.drain(..n);
-        self.base += n as u64;
-        self.pos = self.pos.saturating_sub(n);
+    fn step(&mut self) -> Result<Step<PmEvent>, IngestError> {
+        self.reader.next(&self.buf, |event| event.to_owned())
     }
 }
 
@@ -1308,5 +1081,62 @@ mod tests {
         .unwrap();
         assert_eq!(got, trace);
         assert!(report.clean());
+    }
+
+    #[test]
+    fn stream_decoder_stops_buffering_once_decoding_stops() {
+        // Larger than one read chunk plus the largest frame, so buffering
+        // the whole image would break the bound below.
+        let bytes = to_binary(&sample_trace(60_000));
+        let bound = CHUNK + crate::binfmt::MAX_FRAME_LEN;
+        assert!(bytes.len() > bound);
+        let limits = IngestLimits::default().with_max_events(10);
+        let mut decoder = StreamDecoder::new(IngestMode::Salvage, limits);
+        let mut events = 0;
+        for chunk in bytes.chunks(16 * 1024) {
+            decoder.push(chunk);
+            while decoder.next_event().unwrap().is_some() {
+                events += 1;
+            }
+            assert!(
+                decoder.buffered_bytes() <= bound,
+                "{}",
+                decoder.buffered_bytes()
+            );
+        }
+        decoder.finish();
+        assert!(decoder.next_event().unwrap().is_none());
+        assert_eq!(events, 10);
+        let report = decoder.report();
+        assert_eq!(
+            report.truncated,
+            Some(IngestTruncation::Events { limit: 10 })
+        );
+        assert_eq!(
+            report.bytes_read,
+            bytes.len() as u64,
+            "stopped bytes still count"
+        );
+    }
+
+    #[test]
+    fn mid_stream_report_does_not_fix_the_truncation_verdict() {
+        let bytes = to_binary(&sample_trace(100));
+        let limits = IngestLimits::default()
+            .with_max_bytes(100)
+            .with_max_events(2);
+        let (_, batch) = ingest_bytes(&bytes, IngestMode::Salvage, &limits).unwrap();
+        assert_eq!(batch.truncated, Some(IngestTruncation::Events { limit: 2 }));
+
+        let mut decoder = StreamDecoder::new(IngestMode::Salvage, limits);
+        decoder.push(&bytes);
+        // The live view shows the byte cap that has bitten so far...
+        assert_eq!(
+            decoder.report().truncated,
+            Some(IngestTruncation::Bytes { limit: 100 })
+        );
+        while decoder.next_event().unwrap().is_some() {}
+        // ...but the final verdict is the batch reader's.
+        assert_eq!(decoder.report().truncated, batch.truncated);
     }
 }

@@ -1,52 +1,31 @@
 //! Zero-copy ingestion for pm-trace v2: detection directly over framed
 //! bytes.
 //!
-//! The owned reader in [`crate::ingest`] copies every input byte through a
-//! rolling buffer and materializes every frame into an owned
-//! [`PmEvent`](crate::PmEvent) (heap strings included) before the detector
-//! sees it. That is the right shape for sockets and pipes, but for the
-//! common case — a complete v2 trace file already sitting in memory (or
-//! mapped into it) — the copies and allocations are pure overhead: ROADMAP
-//! item 2 targets 100M+ events/sec, and per-event bookkeeping is exactly
-//! what the paper's fast-mode design says to eliminate.
-//!
-//! This module is the allocation-free hot path:
-//!
-//! * [`MappedTrace`] maps (or, on failure/foreign platforms, reads) a trace
-//!   file and hands out its bytes as one borrowable slice;
-//! * [`FrameWalker`] walks the framed bytes in place, yielding borrowed
-//!   [`PmEventRef`]s whose name strings point into the trace image —
-//!   the hot loop performs **zero per-event allocations**;
-//! * CRC verification runs through the slicing-by-8 kernel
-//!   ([`crate::binfmt::crc32_fast`]) and LEB128 decoding through the shared
-//!   [`decode_payload_ref`](crate::binfmt::decode_payload_ref) used by both
-//!   paths, so batch verification is word-at-a-time while staying
-//!   bit-identical to the owned reader.
-//!
-//! **Byte-identity invariant** (property-tested in
-//! `crates/trace/tests/zerocopy_properties.rs`): for any input — clean,
-//! bit-flipped, truncated, or headerless — [`zero_copy`] classifies the
-//! input exactly like [`ingest_bytes`](crate::ingest_bytes) (same errors,
-//! same salvage entries), and a full [`FrameWalker`] drain yields the same
-//! event sequence and a bit-identical [`IngestReport`] (every counter,
-//! every error locus, the same truncation verdict, and even the same
-//! chunk-granular `bytes_read` when an event budget stops the read early).
+//! For a complete v2 trace already in memory (or mapped into it), copying
+//! bytes through a rolling buffer and materializing owned
+//! [`PmEvent`](crate::PmEvent)s is pure overhead. [`MappedTrace`] maps (or
+//! reads) a trace file as one borrowable slice; [`zero_copy`] classifies it
+//! with [`ingest_bytes`](crate::ingest_bytes)'s sniffer; and
+//! [`FrameWalker`] runs the crate's one v2 frame reader ([`crate::binfmt`])
+//! over it, yielding borrowed [`PmEventRef`]s with **zero per-event
+//! allocations**. Since the owned readers drive the same frame reader, a
+//! full walk yields `ingest_bytes`'s events and a bit-identical
+//! [`IngestReport`] (property-tested in
+//! `crates/trace/tests/zerocopy_properties.rs`).
 
 use std::time::Instant;
 
-use crate::binfmt::{self, FrameStepRef, FILE_MAGIC};
+use crate::binfmt::{FrameReader, Step};
 use crate::events::PmEventRef;
-use crate::format;
 use crate::ingest::{
-    contains_frame_magic, first_line_of, looks_textual, IngestError, IngestLimits, IngestMode,
-    IngestReport, IngestTruncation, TraceFormat, CHUNK,
+    classify, IngestError, IngestLimits, IngestMode, IngestReport, TraceFormat, CHUNK,
 };
 
 /// How [`zero_copy`] classified the input.
-// The walker variant is large (inline batch scratch), but the enum is a
-// transient return value that every caller destructures on the spot —
-// boxing it would put a heap allocation on the zero-allocation entry path
-// to save stack bytes nothing ever stores.
+// The walker variant is large (the frame reader's state and report live
+// inline), but the enum is a transient return value that every caller
+// destructures on the spot — boxing it would put a heap allocation on the
+// entry path to save stack bytes nothing ever stores.
 #[allow(clippy::large_enum_variant)]
 pub enum ZeroCopy<'a> {
     /// A v2 binary image (or, in salvage mode, a headerless one with frame
@@ -62,11 +41,6 @@ pub enum ZeroCopy<'a> {
 /// [`crate::ingest_bytes`] and, for v2 binary input, returns the zero-copy
 /// [`FrameWalker`] over it.
 ///
-/// The sniffing window, the degraded salvage entries (headerless text,
-/// damaged binary header) and every diagnostic string mirror the owned
-/// reader, so swapping paths can never change what an input is diagnosed
-/// as.
-///
 /// # Errors
 ///
 /// [`IngestError::Empty`] and [`IngestError::UnknownFormat`] under exactly
@@ -77,247 +51,36 @@ pub fn zero_copy<'a>(
     limits: &IngestLimits,
 ) -> Result<ZeroCopy<'a>, IngestError> {
     let start = Instant::now();
-    // The owned reader sniffs from its first rolling-buffer fill: at most
-    // one read chunk, never more than the byte budget. Mirror that window
-    // so classification of pathological inputs cannot diverge.
-    let view_len =
-        usize::try_from((bytes.len() as u64).min(limits.max_bytes)).unwrap_or(usize::MAX);
-    let window = &bytes[..view_len.min(CHUNK)];
-    if window.is_empty() {
-        return Err(IngestError::Empty);
-    }
-
-    if window.starts_with(&FILE_MAGIC) {
-        return Ok(ZeroCopy::Binary(FrameWalker::new(
-            bytes, view_len, mode, limits, start, false,
-        )));
-    }
-    let first_line = first_line_of(window);
-    if first_line.trim() == format::HEADER {
+    // The owned reader sniffs its first read chunk, never more than the
+    // byte budget: classify the same window.
+    let head = usize::try_from(limits.max_bytes).map_or(CHUNK, |cap| cap.min(CHUNK));
+    if classify(&bytes[..bytes.len().min(head)], mode)? == TraceFormat::TextV1 {
         return Ok(ZeroCopy::Text);
     }
-    if first_line.trim_start().starts_with("# pm-trace") {
-        return Err(IngestError::UnknownFormat {
-            detail: format!("found unsupported header `{}`", first_line.trim()),
-        });
-    }
-    let headerless_event = format::parse_line(1, &first_line).ok().flatten().is_some();
-    if mode == IngestMode::Salvage {
-        if headerless_event {
-            return Ok(ZeroCopy::Text);
-        }
-        if contains_frame_magic(window).is_some() {
-            return Ok(ZeroCopy::Binary(FrameWalker::new(
-                bytes, view_len, mode, limits, start, true,
-            )));
-        }
-    }
-    let detail = if headerless_event {
-        format!(
-            "first line `{}` parses as a trace event, so this looks like headerless v1 \
-             text (--salvage accepts it)",
-            first_line.trim()
-        )
-    } else if looks_textual(window) {
-        format!("input is text whose first line is `{}`", first_line.trim())
-    } else {
-        "input looks like unrecognized binary data".to_owned()
+    let mut walker = FrameWalker {
+        data: bytes,
+        reader: FrameReader::new(mode, limits, start),
     };
-    Err(IngestError::UnknownFormat { detail })
+    walker.grow();
+    Ok(ZeroCopy::Binary(walker))
 }
 
-/// An in-place walk over a v2 binary image, yielding borrowed events.
-///
-/// The walker replays the owned reader's state machine over the borrowed
-/// slice: the same resync scans, the same corruption skips, the same
-/// budget checks in the same order — but events are decoded straight out
-/// of the image with no rolling-buffer copies, no event materialization
-/// and no per-event heap traffic. `avail` simulates the owned reader's
-/// chunked refills so that `bytes_read` stays bit-identical even when an
-/// event budget stops the read mid-file.
+/// An in-place walk over a v2 binary image, yielding borrowed events. The
+/// frame reader's window grows one simulated 64 KiB read chunk at a time,
+/// like the owned reader's refills, so even `bytes_read` matches it.
 pub struct FrameWalker<'a> {
     data: &'a [u8],
-    /// Parse ceiling: `min(input length, byte budget)`.
-    view_len: usize,
-    /// Simulated rolling-buffer extent — the owned reader's `bytes_read`.
-    avail: usize,
-    pos: usize,
-    /// Where the next resync scan starts (avoids rescanning on growth).
-    scan_from: usize,
-    mode: IngestMode,
-    max_events: u64,
-    max_bytes: u64,
-    deadline: Option<std::time::Duration>,
-    start: Instant,
-    resyncing: bool,
-    done: bool,
-    report: IngestReport,
-    /// Frames validated and decoded ahead of the cursor by one tight
-    /// batch pass (CRC + LEB128 over whole frames, no per-frame state
-    /// checks). Entries are `(event, frame length)`; accounting (`pos`,
-    /// `record_frame`) is applied as each entry is *served*, so the
-    /// observable state never runs ahead of the events handed out. The
-    /// buffer is allocated once — the per-event hot path stays
-    /// allocation-free.
-    batch: Vec<(PmEventRef<'a>, u32)>,
-    batch_next: usize,
-    /// Scratch for [`FrameWalker::refill`]'s header pass: `(payload start,
-    /// payload len)` per candidate frame. A field so the allocation
-    /// happens once per walker, not once per batch.
-    spans: Vec<(usize, usize)>,
+    reader: FrameReader<PmEventRef<'a>>,
 }
 
-/// Upper bound on frames prevalidated per batch pass.
-const BATCH: usize = 128;
-
 impl<'a> FrameWalker<'a> {
-    fn new(
-        data: &'a [u8],
-        view_len: usize,
-        mode: IngestMode,
-        limits: &IngestLimits,
-        start: Instant,
-        headerless: bool,
-    ) -> Self {
-        let mut report = IngestReport::new(TraceFormat::BinV2, mode);
-        let mut pos = 0;
-        let mut scan_from = 0;
-        if headerless {
-            // Damaged file header: the sniffer found frame magic further
-            // in; lock onto it (and account the skip) like the owned
-            // reader's salvage entry.
-            report.record_error(0, "missing/damaged `PMTRACE2` file header".to_owned());
-            report.frames_skipped += 1;
-        } else {
-            pos = FILE_MAGIC.len();
-            scan_from = pos;
-        }
-        FrameWalker {
-            data,
-            view_len,
-            avail: view_len.min(CHUNK),
-            pos,
-            scan_from,
-            mode,
-            max_events: limits.max_events,
-            max_bytes: limits.max_bytes,
-            deadline: limits.deadline,
-            start,
-            resyncing: headerless,
-            done: false,
-            report,
-            batch: Vec::with_capacity(BATCH),
-            batch_next: 0,
-            spans: Vec::with_capacity(BATCH),
-        }
-    }
-
-    /// Serves one prevalidated frame, applying its accounting, or returns
-    /// `None` when the batch is drained.
-    #[inline(always)]
-    fn serve(&mut self) -> Option<PmEventRef<'a>> {
-        let &(event, len) = self.batch.get(self.batch_next)?;
-        self.batch_next += 1;
-        self.report.record_frame(u64::from(len));
-        self.pos += len as usize;
-        Some(event)
-    }
-
-    /// Batch prevalidation: CRC-checks and LEB128-decodes up to [`BATCH`]
-    /// consecutive clean frames in one tight pass with no per-frame state
-    /// checks. The fill budget is capped by the remaining event budget so
-    /// `avail` growth and `Events` truncation land on exactly the frame
-    /// the slow path would pick, and the pass never grows `avail` or
-    /// consumes a corrupt frame — anything but a clean in-bounds frame
-    /// ends the batch and is re-stepped (and diagnosed) by the slow path.
-    fn refill(&mut self) {
-        self.batch.clear();
-        self.batch_next = 0;
-        let budget = (self.max_events - self.report.frames_ok).min(BATCH as u64) as usize;
-        // Reborrow at the full lifetime: the slice outlives `self` borrows.
-        let data: &'a [u8] = self.data;
-        let view = &data[..self.avail];
-
-        // Pass 1 — header scan: frame boundaries only (magic, length cap,
-        // bounds), no payload reads. Each check mirrors one
-        // `step_frame_ref` rejection, so any frame this pass skips is
-        // re-stepped (and diagnosed, with the right error string) by the
-        // slow path.
-        self.spans.clear();
-        let magic = u32::from_le_bytes(binfmt::FRAME_MAGIC);
-        let mut pos = self.pos;
-        while self.spans.len() < budget {
-            let Some(header) = view.get(pos..pos + binfmt::FRAME_HEADER_LEN) else {
-                break;
-            };
-            if u32::from_le_bytes(header[..4].try_into().expect("4 bytes")) != magic {
-                break;
-            }
-            let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
-            if len > binfmt::MAX_FRAME_LEN || view.len() - pos - binfmt::FRAME_HEADER_LEN < len {
-                break;
-            }
-            self.spans.push((pos + binfmt::FRAME_HEADER_LEN, len));
-            pos += binfmt::FRAME_HEADER_LEN + len;
-        }
-
-        // Pass 2 — batch CRC32: one tight sweep so the checksum chains of
-        // adjacent frames overlap instead of being serialized through the
-        // per-frame branch logic. First mismatch truncates the batch.
-        let mut ok = self.spans.len();
-        for (i, &(start, len)) in self.spans.iter().enumerate() {
-            let stored = u32::from_le_bytes(view[start - 4..start].try_into().expect("4 bytes"));
-            if binfmt::crc32_fast(&view[start..start + len]) != stored {
-                ok = i;
-                break;
-            }
-        }
-
-        // Pass 3 — batch LEB128 decode of the CRC-verified payloads. A
-        // payload the decoder rejects truncates the batch; the slow path
-        // re-steps it into the exact `undecodable payload` diagnostic.
-        for &(start, len) in &self.spans[..ok] {
-            match binfmt::decode_payload_ref(&view[start..start + len]) {
-                Ok(event) => self
-                    .batch
-                    .push((event, (binfmt::FRAME_HEADER_LEN + len) as u32)),
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn expired(&self) -> bool {
-        self.deadline.is_some_and(|d| self.start.elapsed() >= d)
-    }
-
-    /// Simulates one owned-reader refill: the rolling buffer grows by one
-    /// read chunk, capped at the parse ceiling.
+    /// Simulates one owned-reader refill: the window grows by one read
+    /// chunk, capped by the byte budget.
     fn grow(&mut self) {
-        self.avail = (self.avail + CHUNK).min(self.view_len);
-    }
-
-    fn stop(&mut self, truncation: Option<IngestTruncation>) {
-        if let Some(t) = truncation {
-            if self.report.truncated.is_none() {
-                self.report.truncated = Some(t);
-            }
-        }
-        // The owned reader's pump flags `capped` when a refill finds the
-        // byte budget exhausted — which a drained walk always attempts, so
-        // the flag is equivalent to the budget being no larger than the
-        // input.
-        if self.report.truncated.is_none() && self.data.len() as u64 >= self.max_bytes {
-            self.report.truncated = Some(IngestTruncation::Bytes {
-                limit: self.max_bytes,
-            });
-        }
-        self.report.finalize(self.avail as u64, self.start);
-        self.done = true;
-    }
-
-    fn deadline_truncation(&self) -> IngestTruncation {
-        IngestTruncation::Deadline {
-            limit_ms: self.deadline.map_or(0, |d| d.as_millis() as u64),
+        let read = self.reader.bytes_read() as usize;
+        self.reader.admit(CHUNK.min(self.data.len() - read));
+        if self.reader.bytes_read() as usize == self.data.len() {
+            self.reader.finish();
         }
     }
 
@@ -332,104 +95,24 @@ impl<'a> FrameWalker<'a> {
     /// reader.
     #[inline]
     pub fn next_ref(&mut self) -> Result<Option<PmEventRef<'a>>, IngestError> {
-        if self.done {
-            return Ok(None);
-        }
-        // Hot path: hand out the next prevalidated frame. The fill budget
-        // guarantees the event cap cannot be hit mid-batch, and a batch is
-        // only filled when no deadline is set, so skipping the per-event
-        // state checks is observably identical to the slow loop.
-        if let Some(event) = self.serve() {
+        // Served ahead of the `Step` plumbing: the per-event fast path.
+        if let Some(event) = self.reader.serve() {
             return Ok(Some(event));
         }
+        let data: &'a [u8] = self.data;
         loop {
-            if self.expired() {
-                self.stop(Some(self.deadline_truncation()));
-                return Ok(None);
-            }
-            if self.report.frames_ok >= self.max_events {
-                self.stop(Some(IngestTruncation::Events {
-                    limit: self.max_events,
-                }));
-                return Ok(None);
-            }
-            if self.resyncing {
-                loop {
-                    if let Some(j) = contains_frame_magic(&self.data[self.scan_from..self.avail]) {
-                        self.pos = self.scan_from + j;
-                        self.resyncing = false;
-                        self.report.resyncs += 1;
-                        break;
-                    }
-                    if self.avail >= self.view_len {
-                        // Nothing left to lock onto: the stream is drained.
-                        self.pos = self.avail;
-                        self.stop(None);
-                        return Ok(None);
-                    }
-                    // A frame magic may straddle the simulated chunk
-                    // boundary: keep a 3-byte overlap, like the owned
-                    // scanner's tail.
-                    self.scan_from = self.avail.saturating_sub(3).max(self.scan_from);
-                    self.grow();
-                    if self.expired() {
-                        self.stop(Some(self.deadline_truncation()));
-                        return Ok(None);
-                    }
-                }
-            }
-            if self.pos >= self.avail && self.avail >= self.view_len {
-                self.stop(None);
-                return Ok(None);
-            }
-            // Batch CRC32 + LEB128 over whole frames. Deadline-limited
-            // walks stay on the single-step path so the per-event expiry
-            // check keeps its owned-reader granularity.
-            if self.deadline.is_none() {
-                self.refill();
-                if let Some(event) = self.serve() {
-                    return Ok(Some(event));
-                }
-            }
-            match binfmt::step_frame_ref(
-                &self.data[..self.avail],
-                self.pos,
-                self.avail >= self.view_len,
-            ) {
-                FrameStepRef::Ok { event, end } => {
-                    self.report.record_frame((end - self.pos) as u64);
-                    self.pos = end;
-                    return Ok(Some(event));
-                }
-                FrameStepRef::Incomplete => self.grow(),
-                FrameStepRef::Corrupt { reason } => {
-                    let locus = self.pos as u64;
-                    if self.mode == IngestMode::Strict {
-                        self.done = true;
-                        return Err(IngestError::Corrupt {
-                            format: TraceFormat::BinV2,
-                            locus,
-                            frames_ok: self.report.frames_ok,
-                            reason,
-                        });
-                    }
-                    self.report.record_error(locus, reason);
-                    self.report.frames_skipped += 1;
-                    self.pos += 1;
-                    self.scan_from = self.pos;
-                    self.resyncing = true;
-                }
+            let window = &data[..self.reader.bytes_read() as usize];
+            match self.reader.next(window, |event| event)? {
+                Step::Event(event) => return Ok(Some(event)),
+                Step::NeedMore => self.grow(),
+                Step::Done => return Ok(None),
             }
         }
     }
 
     /// Drives the walk to completion, invoking `f` on every remaining
-    /// event — the bulk form of [`FrameWalker::next_ref`]. Observably
-    /// equivalent to calling `next_ref` in a loop (same events in the same
-    /// order, same error on a strict failure, bit-identical final report),
-    /// but whole prevalidated batches are served through one tight slice
-    /// loop with batch-granular accounting, so no per-event bookkeeping
-    /// remains on the hot path.
+    /// event — observably the same as a [`FrameWalker::next_ref`] loop, but
+    /// whole prevalidated batches are served with batch-wide accounting.
     ///
     /// # Errors
     ///
@@ -440,29 +123,9 @@ impl<'a> FrameWalker<'a> {
         F: FnMut(PmEventRef<'a>),
     {
         loop {
-            if self.batch_next < self.batch.len() {
-                let served = (self.batch.len() - self.batch_next) as u64;
-                let mut bytes = 0u64;
-                for &(event, len) in &self.batch[self.batch_next..] {
-                    bytes += u64::from(len);
-                    f(event);
-                }
-                self.batch_next = self.batch.len();
-                self.pos += bytes as usize;
-                // `record_frame`, applied batch-wide: the clean/resynced
-                // split cannot change mid-batch because serving records no
-                // errors.
-                self.report.frames_ok += served;
-                self.report.bytes_salvaged += bytes;
-                if self.report.first_error.is_none() {
-                    self.report.frames_clean += served;
-                } else {
-                    self.report.frames_resynced += served;
-                }
-                continue;
-            }
-            // Refill (or finish) through the slow path; this also serves
-            // the first event of the next batch.
+            self.reader.drain_batch(&mut f);
+            // Refill (or finish) through the reader; this also serves the
+            // first event of the next batch.
             match self.next_ref()? {
                 Some(event) => f(event),
                 None => return Ok(()),
@@ -473,16 +136,16 @@ impl<'a> FrameWalker<'a> {
     /// The accounting so far; final (and bit-identical to the owned
     /// reader's) once [`FrameWalker::next_ref`] has returned `Ok(None)`.
     pub fn report(&self) -> &IngestReport {
-        &self.report
+        self.reader.report()
     }
 
     /// Consumes the walker and returns its final report, finalizing the
     /// accounting if the walk was abandoned mid-stream.
     pub fn into_report(mut self) -> IngestReport {
-        if !self.done {
-            self.report.finalize(self.avail as u64, self.start);
+        if !self.reader.is_done() {
+            self.reader.refresh();
         }
-        self.report
+        self.reader.report().clone()
     }
 }
 

@@ -231,6 +231,24 @@ proptest! {
         let limits = IngestLimits::default().with_max_events(10_000);
         let batch = pm_trace::ingest_bytes(&bytes, IngestMode::Strict, &limits);
         let walked = walk_all(&bytes, IngestMode::Strict, &limits);
+        // `from_binary` is a third path: the same verdict, with the batch
+        // reader's `Corrupt` fields as its offset, frame and reason.
+        match (&batch, pm_trace::from_binary(&bytes)) {
+            (Ok((batch_trace, _)), Ok(parsed)) => {
+                prop_assert_eq!(batch_trace.events(), parsed.events());
+            }
+            (Err(pm_trace::IngestError::Corrupt { locus, frames_ok, reason, .. }), Err(pe)) => {
+                prop_assert_eq!(pe.offset, *locus);
+                prop_assert_eq!(pe.frame, *frames_ok);
+                prop_assert_eq!(&pe.reason, reason);
+            }
+            (Err(_), Err(_)) => {}
+            (batch, parsed) => {
+                return Err(TestCaseError::fail(format!(
+                    "from_binary diverged: batch={batch:?} from_binary={parsed:?}"
+                )));
+            }
+        }
         match (batch, walked) {
             (Ok((batch_trace, batch_report)), Ok((events, walk_report))) => {
                 prop_assert_eq!(batch_trace.events(), &events[..]);
