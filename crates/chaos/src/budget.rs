@@ -88,10 +88,7 @@ impl Budget {
 
     /// Starts the wall clock for one run.
     pub(crate) fn start_clock(&self) -> WallClock {
-        WallClock {
-            start: Instant::now(),
-            limit: self.wall_clock,
-        }
+        WallClock::start(self.wall_clock)
     }
 }
 
@@ -103,6 +100,13 @@ pub(crate) struct WallClock {
 }
 
 impl WallClock {
+    pub(crate) fn start(limit: Option<Duration>) -> WallClock {
+        WallClock {
+            start: Instant::now(),
+            limit,
+        }
+    }
+
     pub(crate) fn expired(&self) -> bool {
         self.limit.is_some_and(|l| self.start.elapsed() >= l)
     }

@@ -8,11 +8,10 @@
 //! splices, garbage prefixes), feeds every mutant through the salvage
 //! reader, and checks three invariants per image:
 //!
-//! 1. **Never panic** — every ingest call runs under `catch_unwind`; a
-//!    panic is a hard failure.
+//! 1. **Never panic** — a panic escapes to the sweep driver, which
+//!    counts it as an abort.
 //! 2. **Always terminate in budget** — each image gets a per-image event
-//!    and wall-clock budget; the campaign itself honors the
-//!    [`Budget::wall_clock`] ceiling with an explicit [`Truncation`].
+//!    and wall-clock budget; the driver's wall clock bounds the sweep.
 //! 3. **Salvage floor** — the reader must recover at least (and
 //!    byte-for-byte exactly) every frame that precedes the first corrupted
 //!    byte.
@@ -23,7 +22,6 @@
 //! suppress bugs.
 
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 use std::time::Duration;
 
 use pm_trace::{
@@ -32,9 +30,8 @@ use pm_trace::{
 };
 use pmdebugger::PmDebugger;
 
-use crate::budget::{Budget, Truncation};
 use crate::error::ChaosError;
-use crate::report::json_escape;
+use crate::sweep::{PlanLog, Suite, Sweep};
 
 /// Per-image wall-clock ceiling handed to the salvage reader. Generous —
 /// the fixtures are small — but finite, so a reader bug that loops shows
@@ -82,117 +79,6 @@ impl CorruptionClass {
 impl fmt::Display for CorruptionClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Outcome counters for one corruption class.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClassStats {
-    /// Mutated images fed to the reader.
-    pub images: u64,
-    /// Images whose ingest panicked (must stay 0).
-    pub panics: u64,
-    /// Images where salvage recovered fewer frames than precede the first
-    /// corrupted byte (must stay 0).
-    pub floor_violations: u64,
-    /// Images where the salvaged clean prefix differed event-for-event
-    /// from the pristine prefix (must stay 0).
-    pub prefix_mismatches: u64,
-    /// Sampled images where PMDebugger's reports over the salvaged prefix
-    /// differed from replaying the pristine prefix (must stay 0).
-    pub detector_mismatches: u64,
-    /// Detector differentials actually run.
-    pub differentials: u64,
-    /// Sum over images of the salvage floor (frames before the first
-    /// corruption).
-    pub floor_frames: u64,
-    /// Sum over images of frames the salvage reader recovered.
-    pub salvaged_frames: u64,
-    /// Images the reader rejected outright (empty/unknown input after the
-    /// mutation) — legitimate when the floor is 0.
-    pub rejected: u64,
-}
-
-impl ClassStats {
-    fn clean(&self) -> bool {
-        self.panics == 0
-            && self.floor_violations == 0
-            && self.prefix_mismatches == 0
-            && self.detector_mismatches == 0
-    }
-}
-
-/// Result of one corruption torture sweep.
-#[derive(Debug, Clone)]
-pub struct CorruptionReport {
-    /// Per-class outcome counters, in [`CorruptionClass::ALL`] order.
-    pub per_class: Vec<(CorruptionClass, ClassStats)>,
-    /// Frames in the pristine image.
-    pub pristine_frames: u64,
-    /// Bytes in the pristine image.
-    pub pristine_bytes: u64,
-    /// Budgets that bit during the sweep.
-    pub truncations: Vec<Truncation>,
-    /// Wall-clock time for the whole sweep, in milliseconds.
-    pub wall_ms: u128,
-}
-
-impl CorruptionReport {
-    /// Total mutated images tested.
-    pub fn images_total(&self) -> u64 {
-        self.per_class.iter().map(|(_, s)| s.images).sum()
-    }
-
-    /// Total panics across classes.
-    pub fn panics_total(&self) -> u64 {
-        self.per_class.iter().map(|(_, s)| s.panics).sum()
-    }
-
-    /// `true` when every invariant held on every image: no panics, no
-    /// salvage-floor violations, no prefix or detector mismatches.
-    pub fn ok(&self) -> bool {
-        self.per_class.iter().all(|(_, s)| s.clean())
-    }
-
-    /// Hand-rolled JSON (the workspace has no serde), consumed by the CI
-    /// `ingest-torture` stage.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ok\":{},", self.ok()));
-        out.push_str(&format!("\"images_total\":{},", self.images_total()));
-        out.push_str(&format!("\"pristine_frames\":{},", self.pristine_frames));
-        out.push_str(&format!("\"pristine_bytes\":{},", self.pristine_bytes));
-        out.push_str(&format!("\"wall_ms\":{},", self.wall_ms));
-        out.push_str("\"classes\":{");
-        for (i, (class, s)) in self.per_class.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"images\":{},\"panics\":{},\"floor_violations\":{},\
-                 \"prefix_mismatches\":{},\"detector_mismatches\":{},\"differentials\":{},\
-                 \"floor_frames\":{},\"salvaged_frames\":{},\"rejected\":{}}}",
-                class.name(),
-                s.images,
-                s.panics,
-                s.floor_violations,
-                s.prefix_mismatches,
-                s.detector_mismatches,
-                s.differentials,
-                s.floor_frames,
-                s.salvaged_frames,
-                s.rejected,
-            ));
-        }
-        out.push_str("},\"truncations\":[");
-        for (i, t) in self.truncations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&t.to_string())));
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -250,111 +136,183 @@ fn mutate(class: CorruptionClass, pristine: &[u8], rng: &mut u64) -> Mutant {
     }
 }
 
-/// Sweeps `images_per_class` deterministic corruptions of each
-/// [`CorruptionClass`] over the trace's v2 binary image and checks the
-/// never-panic / always-terminate / salvage-floor invariants (plus the
-/// sampled detector differential) on every mutant.
+/// Per-class counters, each reported as `<class>.<field>`:
 ///
-/// Seeded by [`Budget::seed`]; honors [`Budget::wall_clock`] by recording
-/// a [`Truncation::WallClockExpired`] and returning the partial report.
-///
-/// # Errors
-///
-/// [`ChaosError::EmptyTrace`] when the trace has no events (no frames to
-/// salvage means nothing to torture).
-pub fn corruption_torture(
-    trace: &Trace,
-    budget: &Budget,
-    images_per_class: usize,
-) -> Result<CorruptionReport, ChaosError> {
-    if trace.is_empty() {
-        return Err(ChaosError::EmptyTrace);
+/// * `images` — mutated images fed to the reader;
+/// * `floor_violations` — images where salvage recovered fewer frames
+///   than precede the first corrupted byte (must stay 0);
+/// * `prefix_mismatches` — images whose salvaged clean prefix differed
+///   event-for-event from the pristine prefix (must stay 0);
+/// * `detector_mismatches` — sampled images where PMDebugger's reports
+///   over the salvaged prefix differed from replaying the pristine prefix
+///   (must stay 0);
+/// * `differentials` — detector differentials actually run;
+/// * `floor_frames` / `salvaged_frames` — frames before the first
+///   corruption, and frames the reader recovered, summed over images;
+/// * `rejected` — images the reader rejected outright (legitimate when
+///   the floor is 0).
+const CLASS_COUNTERS: [&str; 8] = [
+    "images",
+    "floor_violations",
+    "prefix_mismatches",
+    "detector_mismatches",
+    "differentials",
+    "floor_frames",
+    "salvaged_frames",
+    "rejected",
+];
+
+/// One torture plan: image `image` of corruption class `class`.
+#[derive(Debug, Clone, Copy)]
+pub struct Mutation {
+    class: CorruptionClass,
+    image: usize,
+}
+
+impl fmt::Display for Mutation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}#{}", self.class, self.image)
     }
-    let pristine = to_binary(trace);
-    let spans = frame_spans(&pristine).expect("a freshly encoded image is well-formed");
-    let clock = budget.start_clock();
-    let limits = IngestLimits::default()
-        .with_max_events(trace.len() as u64 + 16)
-        .with_deadline(PER_IMAGE_DEADLINE);
+}
 
-    let planned = CorruptionClass::ALL.len() * images_per_class;
-    let mut tested = 0usize;
-    let mut truncations = Vec::new();
-    let mut per_class: Vec<(CorruptionClass, ClassStats)> = CorruptionClass::ALL
-        .iter()
-        .map(|&c| (c, ClassStats::default()))
-        .collect();
+/// Sweeps deterministic corruptions of each [`CorruptionClass`] over a
+/// trace's v2 binary image and checks the never-panic /
+/// always-terminate / salvage-floor invariants (plus the sampled detector
+/// differential) on every mutant. Plans run class by class, in
+/// [`CorruptionClass::ALL`] order; mutant `(class, image)` depends only
+/// on the seed, so a sweep replays identically.
+pub struct TortureSweep {
+    trace: Trace,
+    pristine: Vec<u8>,
+    spans: Vec<(usize, usize)>,
+    limits: IngestLimits,
+    seed: u64,
+    images_per_class: usize,
+}
 
-    'sweep: for (class_idx, (class, stats)) in per_class.iter_mut().enumerate() {
-        for image_idx in 0..images_per_class {
-            if clock.expired() {
-                truncations.push(Truncation::WallClockExpired {
-                    tested,
-                    total: planned,
-                });
-                break 'sweep;
-            }
-            let mut rng = budget
-                .seed
-                .wrapping_add((class_idx as u64) << 32)
-                .wrapping_add(image_idx as u64);
-            let mutant = mutate(*class, &pristine, &mut rng);
-            // The floor: frames wholly before the first corrupted byte.
-            let floor = spans
-                .iter()
-                .take_while(|(_, end)| *end <= mutant.first_corrupt)
-                .count();
-            stats.images += 1;
-            tested += 1;
+impl TortureSweep {
+    /// A sweep over `trace` whose `plans` images are split evenly across
+    /// the four classes.
+    ///
+    /// # Errors
+    ///
+    /// [`ChaosError::EmptyTrace`] when the trace has no events (no frames
+    /// to salvage means nothing to torture).
+    pub fn new(trace: Trace, seed: u64, plans: usize) -> Result<TortureSweep, ChaosError> {
+        if trace.is_empty() {
+            return Err(ChaosError::EmptyTrace);
+        }
+        let pristine = to_binary(&trace);
+        let spans = frame_spans(&pristine).expect("a freshly encoded image is well-formed");
+        let limits = IngestLimits::default()
+            .with_max_events(trace.len() as u64 + 16)
+            .with_deadline(PER_IMAGE_DEADLINE);
+        Ok(TortureSweep {
+            trace,
+            pristine,
+            spans,
+            limits,
+            seed,
+            images_per_class: plans.div_ceil(CorruptionClass::ALL.len()).max(1),
+        })
+    }
+}
 
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-                ingest_bytes(&mutant.bytes, IngestMode::Salvage, &limits)
-            }));
-            let salvaged = match outcome {
-                Err(_) => {
-                    stats.panics += 1;
-                    continue;
-                }
-                Ok(Err(_)) => {
-                    stats.rejected += 1;
-                    Trace::new()
-                }
-                Ok(Ok((salvaged, _report))) => salvaged,
-            };
-            stats.floor_frames += floor as u64;
-            stats.salvaged_frames += salvaged.len() as u64;
-            if salvaged.len() < floor {
-                stats.floor_violations += 1;
-                continue;
+impl Sweep for TortureSweep {
+    type Plan = Mutation;
+    const SUITE: Suite = Suite::Torture;
+
+    fn counters(&self) -> Vec<String> {
+        let mut names = vec!["pristine_bytes".to_owned(), "pristine_frames".to_owned()];
+        for class in CorruptionClass::ALL {
+            names.extend(
+                CLASS_COUNTERS
+                    .iter()
+                    .map(|field| format!("{class}.{field}")),
+            );
+        }
+        names
+    }
+
+    fn next_plan(&mut self, index: usize) -> Mutation {
+        // Plans past the constructor's count stay in the last class.
+        let class = (index / self.images_per_class).min(CorruptionClass::ALL.len() - 1);
+        Mutation {
+            class: CorruptionClass::ALL[class],
+            image: index - class * self.images_per_class,
+        }
+    }
+
+    fn run(&mut self, plan: &Mutation, log: &mut PlanLog) {
+        let class = plan.class;
+        let count =
+            |log: &mut PlanLog, field: &str, n: u64| log.add(&format!("{class}.{field}"), n);
+        let mut rng = self
+            .seed
+            .wrapping_add((class as u64) << 32)
+            .wrapping_add(plan.image as u64);
+        let mutant = mutate(class, &self.pristine, &mut rng);
+        // The floor: frames wholly before the first corrupted byte.
+        let floor = self
+            .spans
+            .iter()
+            .take_while(|(_, end)| *end <= mutant.first_corrupt)
+            .count();
+        count(log, "images", 1);
+
+        let salvaged = match ingest_bytes(&mutant.bytes, IngestMode::Salvage, &self.limits) {
+            Err(_) => {
+                count(log, "rejected", 1);
+                Trace::new()
             }
-            if salvaged.events()[..floor] != trace.events()[..floor] {
-                stats.prefix_mismatches += 1;
-                continue;
-            }
-            if floor > 0 && (image_idx as u64).is_multiple_of(DIFFERENTIAL_STRIDE) {
-                stats.differentials += 1;
-                let from_salvage = PmDebugger::strict().detect_stream(&salvaged.events()[..floor]);
-                let prefix: Trace = trace.events()[..floor].iter().cloned().collect();
-                let direct = replay_finish(&prefix, &mut PmDebugger::strict());
-                if format!("{from_salvage:?}") != format!("{direct:?}") {
-                    stats.detector_mismatches += 1;
-                }
+            Ok((salvaged, _report)) => salvaged,
+        };
+        count(log, "floor_frames", floor as u64);
+        count(log, "salvaged_frames", salvaged.len() as u64);
+        if salvaged.len() < floor {
+            count(log, "floor_violations", 1);
+            log.violation(
+                "floor-violation",
+                format!(
+                    "salvaged {} frames, {floor} precede the first corrupt byte",
+                    salvaged.len()
+                ),
+            );
+            return;
+        }
+        if salvaged.events()[..floor] != self.trace.events()[..floor] {
+            count(log, "prefix_mismatches", 1);
+            log.violation(
+                "prefix-mismatch",
+                format!("the salvaged prefix of {floor} frames differs from the pristine one"),
+            );
+            return;
+        }
+        if floor > 0 && (plan.image as u64).is_multiple_of(DIFFERENTIAL_STRIDE) {
+            count(log, "differentials", 1);
+            let from_salvage = PmDebugger::strict().detect_stream(&salvaged.events()[..floor]);
+            let prefix: Trace = self.trace.events()[..floor].iter().cloned().collect();
+            let direct = replay_finish(&prefix, &mut PmDebugger::strict());
+            if format!("{from_salvage:?}") != format!("{direct:?}") {
+                count(log, "detector_mismatches", 1);
+                log.violation(
+                    "detector-mismatch",
+                    format!("reports over the salvaged {floor}-frame prefix differ from a direct replay"),
+                );
             }
         }
     }
 
-    Ok(CorruptionReport {
-        per_class,
-        pristine_frames: trace.len() as u64,
-        pristine_bytes: pristine.len() as u64,
-        truncations,
-        wall_ms: clock.elapsed_ms(),
-    })
+    fn finish(&mut self, log: &mut PlanLog) {
+        log.add("pristine_frames", self.trace.len() as u64);
+        log.add("pristine_bytes", self.pristine.len() as u64);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{run_sweep, SweepReport};
     use pm_trace::{FenceKind, PmEvent, ThreadId};
 
     fn sample_trace(n: u64) -> Trace {
@@ -379,77 +337,57 @@ mod tests {
             .collect()
     }
 
+    fn torture(trace: Trace, seed: u64, plans: usize) -> SweepReport {
+        run_sweep(
+            &mut TortureSweep::new(trace, seed, plans).unwrap(),
+            plans,
+            None,
+        )
+    }
+
     #[test]
     fn empty_trace_is_rejected() {
-        let err = corruption_torture(&Trace::new(), &Budget::default(), 4).unwrap_err();
+        let err = TortureSweep::new(Trace::new(), 1, 16).err().unwrap();
         assert!(matches!(err, ChaosError::EmptyTrace));
     }
 
     #[test]
     fn small_sweep_holds_all_invariants() {
-        let trace = sample_trace(25);
-        let report = corruption_torture(&trace, &Budget::default(), 20).unwrap();
+        let report = torture(sample_trace(25), Suite::Torture.default_seed(), 80);
         assert!(report.ok(), "{}", report.to_json());
-        assert_eq!(report.images_total(), 80);
-        assert_eq!(report.panics_total(), 0);
+        assert_eq!(report.plans_run, 80);
+        assert_eq!(report.aborts, 0);
         assert!(report.truncations.is_empty());
         // The sweep must have exercised every class.
-        for (class, stats) in &report.per_class {
-            assert_eq!(stats.images, 20, "{class}");
+        for class in CorruptionClass::ALL {
+            assert_eq!(report.counter(&format!("{class}.images")), 20, "{class}");
         }
+        let sum = |field: &str| -> u64 {
+            CorruptionClass::ALL
+                .iter()
+                .map(|class| report.counter(&format!("{class}.{field}")))
+                .sum()
+        };
         // Bit flips land inside frames often enough that salvage actually
         // worked for a living: some frames were recovered somewhere.
-        assert!(report.per_class.iter().any(|(_, s)| s.salvaged_frames > 0));
+        assert!(sum("salvaged_frames") > 0);
         // And the differential oracle genuinely ran.
-        assert!(report.per_class.iter().any(|(_, s)| s.differentials > 0));
+        assert!(sum("differentials") > 0);
     }
 
     #[test]
     fn sweeps_are_deterministic_for_a_seed() {
-        let trace = sample_trace(10);
-        let a = corruption_torture(&trace, &Budget::default().with_seed(9), 8).unwrap();
-        let b = corruption_torture(&trace, &Budget::default().with_seed(9), 8).unwrap();
-        assert_eq!(a.per_class, b.per_class);
-        let c = corruption_torture(&trace, &Budget::default().with_seed(10), 8).unwrap();
+        let a = torture(sample_trace(10), 9, 32);
+        let b = torture(sample_trace(10), 9, 32);
+        assert_eq!(a.counters, b.counters);
+        let c = torture(sample_trace(10), 10, 32);
         // A different seed mutates different offsets; floors differ.
-        assert_ne!(
-            a.per_class
+        let floors = |r: &SweepReport| -> Vec<u64> {
+            CorruptionClass::ALL
                 .iter()
-                .map(|(_, s)| s.floor_frames)
-                .collect::<Vec<_>>(),
-            c.per_class
-                .iter()
-                .map(|(_, s)| s.floor_frames)
-                .collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn zero_wall_clock_truncates_cleanly() {
-        let trace = sample_trace(10);
-        let budget = Budget::default().with_wall_clock(Duration::ZERO);
-        let report = corruption_torture(&trace, &budget, 50).unwrap();
-        assert!(matches!(
-            report.truncations.as_slice(),
-            [Truncation::WallClockExpired { .. }]
-        ));
-        assert!(report.images_total() < 200);
-    }
-
-    #[test]
-    fn json_report_is_well_formed() {
-        let trace = sample_trace(5);
-        let report = corruption_torture(&trace, &Budget::default(), 3).unwrap();
-        let json = report.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        for class in CorruptionClass::ALL {
-            assert!(json.contains(class.name()), "{json}");
-        }
-        assert!(json.contains("\"ok\":true"), "{json}");
+                .map(|class| r.counter(&format!("{class}.floor_frames")))
+                .collect()
+        };
+        assert_ne!(floors(&a), floors(&c));
     }
 }

@@ -28,6 +28,7 @@
 //! granularity a power cut produces.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -42,9 +43,7 @@ use pm_trace::{ingest_bytes, report_hash, splitmix64, to_binary, IngestLimits, I
 use pm_workloads::{record_trace, BTree};
 use pmdebugger::{DebuggerConfig, PersistencyModel, PmDebugger};
 
-use crate::budget::Truncation;
-use crate::report::json_escape;
-use crate::serve_sweep::ServeViolation;
+use crate::sweep::{PlanLog, Suite, Sweep};
 
 /// How the injected journal filesystem misbehaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -304,130 +303,6 @@ pub fn crash_plan_for(seed: u64, index: u64) -> CrashPlan {
     }
 }
 
-/// Tuning for one [`daemon_crash_sweep`].
-#[derive(Debug, Clone)]
-pub struct DaemonCrashOptions {
-    /// Crash plans to run.
-    pub plans: usize,
-    /// Base seed; plan `i` derives its scenario and payload from it.
-    pub seed: u64,
-    /// Wall-clock ceiling for the whole sweep (`None` = unbounded).
-    pub wall_clock: Option<Duration>,
-    /// Path to a `pmdbg` binary for the real `kill -9` subprocess
-    /// plans; `None` runs those plans in-process instead.
-    pub pmdbg_exe: Option<PathBuf>,
-}
-
-impl Default for DaemonCrashOptions {
-    fn default() -> Self {
-        DaemonCrashOptions {
-            plans: 100,
-            seed: 0xD0_0D1E,
-            wall_clock: None,
-            pmdbg_exe: None,
-        }
-    }
-}
-
-/// Outcome of one daemon-crash sweep.
-#[derive(Debug, Clone, Default)]
-pub struct DaemonCrashReport {
-    /// Plans the sweep was asked to run.
-    pub plans_planned: usize,
-    /// Plans actually run (less only under truncation).
-    pub plans_run: usize,
-    /// Host panics plus unrecoverable sweep-side failures — the
-    /// zero-abort oracle.
-    pub aborts: u64,
-    /// Fenced verdicts a later push recomputed instead of replaying.
-    pub verdicts_lost: u64,
-    /// Re-pushes of a completed key that returned a *different* verdict.
-    pub verdicts_duplicated: u64,
-    /// Responses answered from the verdict ledger (`replayed:true`).
-    pub replayed_from_ledger: u64,
-    /// Sessions the restarted daemon resumed from a durable checkpoint.
-    pub resumed_from_checkpoint: u64,
-    /// Torn/corrupt journal regions recovery discarded, across all
-    /// restarts.
-    pub torn_discarded_total: u64,
-    /// Plans run per kind, in [`CrashPlan::ALL`] order.
-    pub plan_mix: Vec<(&'static str, u64)>,
-    /// Every broken invariant.
-    pub violations: Vec<ServeViolation>,
-    /// Budget bounds that were hit.
-    pub truncations: Vec<Truncation>,
-    /// Sweep wall time in milliseconds.
-    pub wall_ms: u128,
-}
-
-impl DaemonCrashReport {
-    /// The sweep's verdict: no aborts, no verdict loss or duplication,
-    /// no broken invariants.
-    pub fn ok(&self) -> bool {
-        self.aborts == 0
-            && self.verdicts_lost == 0
-            && self.verdicts_duplicated == 0
-            && self.violations.is_empty()
-    }
-
-    /// Serializes the report as one JSON object (hand-rolled like the
-    /// other chaos reports; no serde in the workspace).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"ok\":{},", self.ok()));
-        out.push_str(&format!("\"plans_planned\":{},", self.plans_planned));
-        out.push_str(&format!("\"plans_run\":{},", self.plans_run));
-        out.push_str(&format!("\"aborts\":{},", self.aborts));
-        out.push_str(&format!("\"verdicts_lost\":{},", self.verdicts_lost));
-        out.push_str(&format!(
-            "\"verdicts_duplicated\":{},",
-            self.verdicts_duplicated
-        ));
-        out.push_str(&format!(
-            "\"replayed_from_ledger\":{},",
-            self.replayed_from_ledger
-        ));
-        out.push_str(&format!(
-            "\"resumed_from_checkpoint\":{},",
-            self.resumed_from_checkpoint
-        ));
-        out.push_str(&format!(
-            "\"torn_discarded_total\":{},",
-            self.torn_discarded_total
-        ));
-        out.push_str(&format!("\"wall_ms\":{},", self.wall_ms));
-        out.push_str("\"plan_mix\":{");
-        for (i, (name, count)) in self.plan_mix.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{count}"));
-        }
-        out.push_str("},\"violations\":[");
-        for (i, v) in self.violations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"index\":{},\"plan\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\"}}",
-                v.index,
-                v.plan,
-                json_escape(v.kind),
-                json_escape(&v.detail),
-            ));
-        }
-        out.push_str("],\"truncations\":[");
-        for (i, t) in self.truncations.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&t.to_string())));
-        }
-        out.push_str("]}");
-        out
-    }
-}
-
 /// Commit batch size the sweep serves under: small, so a mid-stream
 /// kill lands between many checkpointed boundaries.
 const SWEEP_CHECKPOINT_EVERY: usize = 16;
@@ -527,79 +402,80 @@ fn next_dir(tag: &str) -> PathBuf {
     ))
 }
 
-/// Context shared by the per-plan runners.
-struct PlanRun<'a> {
-    report: &'a mut DaemonCrashReport,
-    index: usize,
-    plan: CrashPlan,
+/// Counts a server's host panics as aborts.
+fn host_panics(log: &mut PlanLog, count: u64) {
+    if count > 0 {
+        log.abort(count, "host-panic", format!("{count} session host panics"));
+    }
 }
 
-impl PlanRun<'_> {
-    fn violation(&mut self, kind: &'static str, detail: String) {
-        self.report.violations.push(ServeViolation {
-            index: self.index,
-            plan: self.plan.name(),
-            kind,
-            detail,
-        });
+/// Checks the final (post-restart) completed response against the
+/// batch reference.
+fn check_final(log: &mut PlanLog, response: &PushResponse, expected_hash: &str) {
+    if response.status != SessionStatus::Ok {
+        log.violation(
+            "final-not-ok",
+            format!("status {:?} ({:?})", response.status, response.error),
+        );
+        return;
     }
-
-    /// Checks the final (post-restart) completed response against the
-    /// batch reference.
-    fn check_final(&mut self, response: &PushResponse, expected_hash: &str) {
-        if response.status != SessionStatus::Ok {
-            self.violation(
-                "final-not-ok",
-                format!("status {:?} ({:?})", response.status, response.error),
-            );
-            return;
-        }
-        if response.report_hash != expected_hash {
-            self.violation(
-                "hash-divergence",
-                format!(
-                    "recovered hash {} != batch hash {expected_hash}",
-                    response.report_hash
-                ),
-            );
-        }
+    if response.report_hash != expected_hash {
+        log.violation(
+            "hash-divergence",
+            format!(
+                "recovered hash {} != batch hash {expected_hash}",
+                response.report_hash
+            ),
+        );
     }
+}
 
-    /// The exactly-once oracle: a re-push of a completed key must come
-    /// back from the ledger, with an identical verdict.
-    fn check_replay(&mut self, first: &PushResponse, again: &PushResponse) {
-        if !again.replayed {
-            self.report.verdicts_lost += 1;
-            self.violation(
-                "verdict-recomputed",
-                "completed key was recomputed instead of replayed from the ledger".to_owned(),
-            );
-        } else {
-            self.report.replayed_from_ledger += 1;
-        }
-        if verdict_fingerprint(first) != verdict_fingerprint(again) {
-            self.report.verdicts_duplicated += 1;
-            self.violation(
-                "verdict-diverged",
-                format!(
-                    "re-push verdict {:?} != original {:?}",
-                    verdict_fingerprint(again),
-                    verdict_fingerprint(first)
-                ),
-            );
-        }
+/// The exactly-once oracle: a re-push of a completed key must come back
+/// from the ledger, with an identical verdict.
+fn check_replay(log: &mut PlanLog, first: &PushResponse, again: &PushResponse) {
+    if !again.replayed {
+        log.add("verdicts_lost", 1);
+        log.violation(
+            "verdict-recomputed",
+            "completed key was recomputed instead of replayed from the ledger",
+        );
+    } else {
+        log.add("replayed_from_ledger", 1);
+    }
+    if verdict_fingerprint(first) != verdict_fingerprint(again) {
+        log.add("verdicts_duplicated", 1);
+        log.violation(
+            "verdict-diverged",
+            format!(
+                "re-push verdict {:?} != original {:?}",
+                verdict_fingerprint(again),
+                verdict_fingerprint(first)
+            ),
+        );
+    }
+}
+
+/// An interrupted session must not come back as a ledger replay: no
+/// verdict was ever emitted for it.
+fn check_no_phantom(log: &mut PlanLog, response: &PushResponse) {
+    if response.replayed {
+        log.add("verdicts_duplicated", 1);
+        log.violation(
+            "phantom-verdict",
+            "interrupted session replayed a verdict that was never emitted",
+        );
     }
 }
 
 /// Runs one in-process plan: daemon A (maybe killed mid-stream), a
 /// simulated power cut on the journal, daemon B recovering over the
 /// same store, then the exactly-once and byte-identity oracles.
-fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
+fn run_in_process(log: &mut PlanLog, plan: CrashPlan, seed: u64, index: u64) {
     let key = format!("plan-{index}");
     let bytes = payload(seed, index);
     let expected = batch_hash(&bytes);
     let mut s = seed ^ index.wrapping_mul(0x2545_F491_4F6C_DD1D);
-    let spec = match run.plan {
+    let spec = match plan {
         CrashPlan::ShortWrite => FaultSpec::ShortWrite {
             after_bytes: 1024 + (splitmix64(&mut s) % 4096) as usize,
         },
@@ -611,7 +487,7 @@ fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
     };
     let fs = FaultFs::new(spec, splitmix64(&mut s));
     let dir = next_dir("mem");
-    let kill_mid = run.plan != CrashPlan::CleanRun;
+    let kill_mid = plan != CrashPlan::CleanRun;
 
     // Daemon A.
     let cfg = crash_config(
@@ -622,8 +498,7 @@ fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
     let server = match Server::start(cfg) {
         Ok(server) => server,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("start-failure", e.to_string());
+            log.abort(1, "start-failure", e.to_string());
             return;
         }
     };
@@ -647,43 +522,43 @@ fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
                     || fs.visible_len(&key) > JOURNAL_FILE_MAGIC.len(),
                     Duration::from_secs(3),
                 );
-                if !committed && run.plan == CrashPlan::KillMidStream {
-                    run.violation(
+                if !committed && plan == CrashPlan::KillMidStream {
+                    log.violation(
                         "no-commit-before-kill",
                         "no journal record appeared within 3 s of a mid-stream push".to_owned(),
                     );
                 }
                 // Hard kill: zero drain, sessions abandoned mid-flight.
                 let summary = server.shutdown(Duration::ZERO);
-                run.report.aborts += summary.host_panics;
+                host_panics(log, summary.host_panics);
                 drop(conn);
             }
             Err(e) => {
-                run.violation("push-io", e.to_string());
+                log.violation("push-io", e.to_string());
                 let summary = server.shutdown(Duration::from_secs(2));
-                run.report.aborts += summary.host_panics;
+                host_panics(log, summary.host_panics);
             }
         }
         // Power cut: lose the un-synced tail at a seeded byte offset.
         fs.crash();
-        if run.plan == CrashPlan::TornTail {
+        if plan == CrashPlan::TornTail {
             fs.tear_tail();
         }
     } else {
         match push_keyed_retry(&listen, &key, &bytes) {
             Ok(response) => {
-                run.check_final(&response, &expected);
+                check_final(log, &response, &expected);
                 // Exactly-once within one daemon lifetime.
                 match push_keyed_retry(&listen, &key, &bytes) {
-                    Ok(again) => run.check_replay(&response, &again),
-                    Err(e) => run.violation("push-io", e.to_string()),
+                    Ok(again) => check_replay(log, &response, &again),
+                    Err(e) => log.violation("push-io", e.to_string()),
                 }
                 completed_on_a = Some(response);
             }
-            Err(e) => run.violation("push-io", e.to_string()),
+            Err(e) => log.violation("push-io", e.to_string()),
         }
         let summary = server.shutdown(Duration::from_secs(2));
-        run.report.aborts += summary.host_panics;
+        host_panics(log, summary.host_panics);
     }
 
     // Daemon B: recover over the same journal store.
@@ -695,50 +570,49 @@ fn run_in_process(run: &mut PlanRun<'_>, seed: u64, index: u64) {
     let server = match Server::start(cfg) {
         Ok(server) => server,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("restart-failure", e.to_string());
+            log.abort(1, "restart-failure", e.to_string());
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
     };
     let listen = server.local_listen().clone();
-    run.report.torn_discarded_total += stats_counter(&listen, "journal.torn_discarded");
+    log.add(
+        "torn_discarded_total",
+        stats_counter(&listen, "journal.torn_discarded"),
+    );
 
     match push_keyed_retry(&listen, &key, &bytes) {
         Ok(response) => {
             if let Some(first) = &completed_on_a {
                 // The verdict was fenced before the (clean) restart:
                 // this push must come back from the durable ledger.
-                run.check_replay(first, &response);
+                check_replay(log, first, &response);
                 if response.replayed {
                     // Replayed lines skip check_final (already checked
                     // on daemon A); nothing more to assert.
                 } else {
-                    run.check_final(&response, &expected);
+                    check_final(log, &response, &expected);
                 }
             } else {
                 // Interrupted session: recovery + client re-push must
                 // finish byte-identical to the uninterrupted batch run,
                 // and must NOT claim a replay (no verdict ever landed).
-                if response.replayed {
-                    run.report.verdicts_duplicated += 1;
-                    run.violation(
-                        "phantom-verdict",
-                        "interrupted session replayed a verdict that was never emitted".to_owned(),
-                    );
-                }
-                run.check_final(&response, &expected);
+                check_no_phantom(log, &response);
+                check_final(log, &response, &expected);
                 match push_keyed_retry(&listen, &key, &bytes) {
-                    Ok(again) => run.check_replay(&response, &again),
-                    Err(e) => run.violation("push-io", e.to_string()),
+                    Ok(again) => check_replay(log, &response, &again),
+                    Err(e) => log.violation("push-io", e.to_string()),
                 }
             }
         }
-        Err(e) => run.violation("push-io", e.to_string()),
+        Err(e) => log.violation("push-io", e.to_string()),
     }
-    run.report.resumed_from_checkpoint += stats_counter(&listen, "journal.sessions_resumed");
+    log.add(
+        "resumed_from_checkpoint",
+        stats_counter(&listen, "journal.sessions_resumed"),
+    );
     let summary = server.shutdown(Duration::from_secs(2));
-    run.report.aborts += summary.host_panics;
+    host_panics(log, summary.host_panics);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -769,13 +643,13 @@ fn spawn_daemon(exe: &Path, sock: &Path, dir: &Path) -> io::Result<std::process:
 /// Runs one real-subprocess plan: spawn `pmdbg serve --journal-dir`,
 /// `kill -9` it mid-stream, restart it over the same directory, replay
 /// the client, and run the same oracles as the in-process plans.
-fn run_subprocess(run: &mut PlanRun<'_>, exe: &Path, seed: u64, index: u64) {
+fn run_subprocess(log: &mut PlanLog, exe: &Path, seed: u64, index: u64) {
     let key = format!("plan-{index}");
     let bytes = payload(seed, index);
     let expected = batch_hash(&bytes);
     let dir = next_dir("proc");
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        run.violation("setup-failure", e.to_string());
+        log.violation("setup-failure", e.to_string());
         return;
     }
     let wal = dir.join(format!("{key}.wal"));
@@ -785,8 +659,7 @@ fn run_subprocess(run: &mut PlanRun<'_>, exe: &Path, seed: u64, index: u64) {
     let mut child = match spawn_daemon(exe, &sock, &dir) {
         Ok(child) => child,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("spawn-failure", e.to_string());
+            log.abort(1, "spawn-failure", e.to_string());
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
@@ -817,7 +690,7 @@ fn run_subprocess(run: &mut PlanRun<'_>, exe: &Path, seed: u64, index: u64) {
             drop(conn);
         }
         Err(e) => {
-            run.violation("push-io", e.to_string());
+            log.violation("push-io", e.to_string());
             let _ = child.kill();
             let _ = child.wait();
         }
@@ -829,84 +702,114 @@ fn run_subprocess(run: &mut PlanRun<'_>, exe: &Path, seed: u64, index: u64) {
     let mut child = match spawn_daemon(exe, &sock, &dir) {
         Ok(child) => child,
         Err(e) => {
-            run.report.aborts += 1;
-            run.violation("respawn-failure", e.to_string());
+            log.abort(1, "respawn-failure", e.to_string());
             let _ = std::fs::remove_dir_all(&dir);
             return;
         }
     };
     let listen = Listen::Unix(sock.clone());
-    run.report.torn_discarded_total += stats_counter(&listen, "journal.torn_discarded");
+    log.add(
+        "torn_discarded_total",
+        stats_counter(&listen, "journal.torn_discarded"),
+    );
     match push_keyed_retry(&listen, &key, &bytes) {
         Ok(response) => {
-            if response.replayed {
-                run.report.verdicts_duplicated += 1;
-                run.violation(
-                    "phantom-verdict",
-                    "interrupted session replayed a verdict that was never emitted".to_owned(),
-                );
-            }
-            run.check_final(&response, &expected);
+            check_no_phantom(log, &response);
+            check_final(log, &response, &expected);
             match push_keyed_retry(&listen, &key, &bytes) {
-                Ok(again) => run.check_replay(&response, &again),
-                Err(e) => run.violation("push-io", e.to_string()),
+                Ok(again) => check_replay(log, &response, &again),
+                Err(e) => log.violation("push-io", e.to_string()),
             }
         }
-        Err(e) => run.violation("push-io", e.to_string()),
+        Err(e) => log.violation("push-io", e.to_string()),
     }
-    run.report.resumed_from_checkpoint += stats_counter(&listen, "journal.sessions_resumed");
+    log.add(
+        "resumed_from_checkpoint",
+        stats_counter(&listen, "journal.sessions_resumed"),
+    );
     let _ = child.kill();
     let _ = child.wait();
     let _ = std::fs::remove_file(&sock);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Runs `opts.plans` seeded daemon-crash scenarios and checks the
-/// crash-durability contract on every one (see the module docs). Never
-/// panics the sweep: a plan whose I/O fails unexpectedly records a
-/// violation, not a crash.
-pub fn daemon_crash_sweep(opts: &DaemonCrashOptions) -> DaemonCrashReport {
-    let started = Instant::now();
-    let mut report = DaemonCrashReport {
-        plans_planned: opts.plans,
-        plan_mix: CrashPlan::ALL.iter().map(|p| (p.name(), 0)).collect(),
-        ..DaemonCrashReport::default()
-    };
-    for index in 0..opts.plans {
-        if let Some(limit) = opts.wall_clock {
-            if started.elapsed() >= limit {
-                report.truncations.push(Truncation::WallClockExpired {
-                    tested: index,
-                    total: opts.plans,
-                });
-                break;
-            }
-        }
-        let plan = crash_plan_for(opts.seed, index as u64);
-        report.plans_run += 1;
-        if let Some(slot) = report.plan_mix.iter_mut().find(|(n, _)| *n == plan.name()) {
-            slot.1 += 1;
-        }
-        let mut run = PlanRun {
-            report: &mut report,
-            index,
-            plan,
-        };
-        match (plan, &opts.pmdbg_exe) {
-            (CrashPlan::Kill9Subprocess, Some(exe)) => {
-                let exe = exe.clone();
-                run_subprocess(&mut run, &exe, opts.seed, index as u64);
-            }
-            _ => run_in_process(&mut run, opts.seed, index as u64),
+/// One daemon-crash plan: sweep index `index` running `kind`.
+#[derive(Debug, Clone, Copy)]
+pub struct Crash {
+    index: u64,
+    kind: CrashPlan,
+}
+
+impl fmt::Display for Crash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.kind.name())
+    }
+}
+
+/// Runs seeded daemon-crash scenarios and checks the crash-durability
+/// contract on every one (see the module docs). A plan whose I/O fails
+/// unexpectedly records a violation, not a crash.
+///
+/// Counters: `verdicts_lost` (fenced verdicts a later push recomputed
+/// instead of replaying) and `verdicts_duplicated` (re-pushes of a
+/// completed key that returned a different verdict), both always
+/// violations; `replayed_from_ledger`, `resumed_from_checkpoint`,
+/// `torn_discarded_total` (torn journal regions recovery discarded), and
+/// `plan.<kind>` per [`CrashPlan`].
+pub struct DaemonCrashSweep {
+    seed: u64,
+    pmdbg_exe: Option<PathBuf>,
+}
+
+impl DaemonCrashSweep {
+    /// A sweep whose plans derive from `seed`. `pmdbg_exe` is a `pmdbg`
+    /// binary for the real `kill -9` subprocess plans; `None` runs those
+    /// plans in-process instead.
+    pub fn new(seed: u64, pmdbg_exe: Option<PathBuf>) -> DaemonCrashSweep {
+        DaemonCrashSweep { seed, pmdbg_exe }
+    }
+}
+
+impl Sweep for DaemonCrashSweep {
+    type Plan = Crash;
+    const SUITE: Suite = Suite::DaemonCrash;
+
+    fn counters(&self) -> Vec<String> {
+        let mut names: Vec<String> = [
+            "verdicts_lost",
+            "verdicts_duplicated",
+            "replayed_from_ledger",
+            "resumed_from_checkpoint",
+            "torn_discarded_total",
+        ]
+        .map(String::from)
+        .to_vec();
+        names.extend(CrashPlan::ALL.iter().map(|p| format!("plan.{}", p.name())));
+        names
+    }
+
+    fn next_plan(&mut self, index: usize) -> Crash {
+        Crash {
+            index: index as u64,
+            kind: crash_plan_for(self.seed, index as u64),
         }
     }
-    report.wall_ms = started.elapsed().as_millis();
-    report
+
+    fn run(&mut self, plan: &Crash, log: &mut PlanLog) {
+        log.add(&format!("plan.{}", plan.kind.name()), 1);
+        match (plan.kind, &self.pmdbg_exe) {
+            (CrashPlan::Kill9Subprocess, Some(exe)) => {
+                run_subprocess(log, exe, self.seed, plan.index);
+            }
+            _ => run_in_process(log, plan.kind, self.seed, plan.index),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::run_sweep;
 
     #[test]
     fn fault_fs_models_durable_volatile_split() {
@@ -969,83 +872,23 @@ mod tests {
     #[test]
     fn small_sweep_is_clean_across_all_plans() {
         // Seed chosen so 14 indices cover several distinct plans.
-        let opts = DaemonCrashOptions {
-            plans: 14,
-            seed: 0xD00D_1E5E,
-            wall_clock: None,
-            pmdbg_exe: None,
-        };
-        let report = daemon_crash_sweep(&opts);
+        let report = run_sweep(&mut DaemonCrashSweep::new(0xD00D_1E5E, None), 14, None);
         assert!(report.ok(), "{}", report.to_json());
         assert_eq!(report.plans_run, 14);
         assert!(
-            report.replayed_from_ledger > 0,
+            report.counter("replayed_from_ledger") > 0,
             "no replay was exercised: {}",
             report.to_json()
         );
         assert!(
-            report.resumed_from_checkpoint > 0,
+            report.counter("resumed_from_checkpoint") > 0,
             "no resume was exercised: {}",
             report.to_json()
         );
-        let count = |name: &str| {
-            report
-                .plan_mix
-                .iter()
-                .find(|(n, _)| *n == name)
-                .map_or(0, |(_, c)| *c)
-        };
-        assert!(count("kill_mid_stream") > 0, "{}", report.to_json());
-    }
-
-    #[test]
-    fn zero_wall_clock_truncates_cleanly() {
-        let opts = DaemonCrashOptions {
-            plans: 10,
-            seed: 1,
-            wall_clock: Some(Duration::ZERO),
-            pmdbg_exe: None,
-        };
-        let report = daemon_crash_sweep(&opts);
-        assert_eq!(report.plans_run, 0);
-        assert!(matches!(
-            report.truncations.first(),
-            Some(Truncation::WallClockExpired {
-                tested: 0,
-                total: 10
-            })
-        ));
-        assert!(report.ok());
-    }
-
-    #[test]
-    fn json_shape_is_stable() {
-        let opts = DaemonCrashOptions {
-            plans: 3,
-            seed: 2,
-            wall_clock: None,
-            pmdbg_exe: None,
-        };
-        let json = daemon_crash_sweep(&opts).to_json();
-        assert!(json.starts_with("{\"ok\":"));
-        for key in [
-            "plans_planned",
-            "plans_run",
-            "aborts",
-            "verdicts_lost",
-            "verdicts_duplicated",
-            "replayed_from_ledger",
-            "resumed_from_checkpoint",
-            "torn_discarded_total",
-            "plan_mix",
-            "violations",
-            "truncations",
-            "wall_ms",
-        ] {
-            assert!(
-                json.contains(&format!("\"{key}\"")),
-                "missing {key}: {json}"
-            );
-        }
+        assert!(
+            report.counter("plan.kill_mid_stream") > 0,
+            "{}",
+            report.to_json()
+        );
     }
 }

@@ -46,6 +46,11 @@
 //!   failing-allocator vetoes and under-estimate global budgets, then
 //!   assert zero aborts, zero verdict divergence against unpressured
 //!   batch runs, and exact paused/spilled/rejected accounting.
+//! * [`sweep`] is the one driver the six seeded sweeps above run on
+//!   ([`corrupt`], [`supervise`], [`serve_sweep`], [`thread_crash`],
+//!   [`daemon_crash`], [`mem_pressure`]): a [`Sweep`] derives and runs
+//!   plans, and [`run_sweep`] owns the plan loop, the wall clock, panic
+//!   catching and the one [`SweepReport`] schema.
 //! * Everything degrades gracefully: budgets ([`Budget`]) bound crash
 //!   points, images per point, replayed trace length, pool size and wall
 //!   clock, and exceeding any of them yields a partial report carrying
@@ -62,34 +67,25 @@ pub mod report;
 pub mod scheduler;
 pub mod serve_sweep;
 pub mod supervise;
+pub mod sweep;
 pub mod thread_crash;
 pub mod validate;
 
 pub use budget::{Budget, Truncation};
-pub use corrupt::{corruption_torture, ClassStats, CorruptionClass, CorruptionReport};
-pub use daemon_crash::{
-    crash_plan_for, daemon_crash_sweep, CrashPlan, DaemonCrashOptions, DaemonCrashReport, FaultFs,
-    FaultSpec,
-};
+pub use corrupt::{CorruptionClass, TortureSweep};
+pub use daemon_crash::{crash_plan_for, CrashPlan, DaemonCrashSweep, FaultFs, FaultSpec};
 pub use error::ChaosError;
-pub use mem_pressure::{
-    mem_plan_for, mem_pressure_sweep, MemPlan, MemPressureOptions, MemPressureReport, MemViolation,
-};
+pub use mem_pressure::{mem_plan_for, MemPlan, MemPressureSweep};
 pub use perturb::{
     apply, perturbations, sensitivity_matrix, ClassRow, FaultClass, Perturbation, SensitivityMatrix,
 };
 pub use replay::ReplayContext;
 pub use report::{CampaignReport, UnrecoverableState};
 pub use scheduler::Campaign;
-pub use serve_sweep::{
-    plan_for, serve_sweep, ServeSweepOptions, ServeSweepReport, ServeViolation, SessionPlan,
-};
-pub use supervise::{
-    supervisor_sweep, SupervisorSweepOptions, SupervisorSweepReport, SweepViolation,
-};
-pub use thread_crash::{
-    crash_threads, thread_crash_sweep, ThreadCrashOptions, ThreadCrashReport, ThreadCrashViolation,
-};
+pub use serve_sweep::{plan_for, ServeSweep, SessionPlan};
+pub use supervise::SupervisorSweep;
+pub use sweep::{run_sweep, PlanLog, Suite, Sweep, SweepReport, SweepViolation};
+pub use thread_crash::{crash_threads, ThreadCrashSweep};
 pub use validate::{
     semantic_fingerprint, EpochCommitValidator, Fingerprint, RecoveryValidator,
     StrictOverwriteValidator, TxLogValidator, ValidatorSet, Violation,

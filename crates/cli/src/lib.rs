@@ -69,6 +69,44 @@ impl SuperviseArgs {
     }
 }
 
+/// `pmdbg sweep` arguments; unset flags take the suite's defaults.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepArgs {
+    /// Which sweep.
+    pub suite: pm_chaos::Suite,
+    /// Plans to run.
+    pub plans: usize,
+    /// Base sweep seed.
+    pub seed: u64,
+    /// Optional wall-clock budget in milliseconds.
+    pub budget_ms: Option<u64>,
+    /// Emit the JSON report instead of the human summary.
+    pub json: bool,
+    /// Trace file to sweep (`torture`, `supervise`).
+    pub trace: Option<String>,
+    /// Workload to record a trace from (`torture`, `supervise`).
+    pub workload: Option<String>,
+    /// Operations recorded (per worker thread in `thread-crash`); unused
+    /// by the server sweeps.
+    pub ops: usize,
+}
+
+impl SweepArgs {
+    /// A sweep of `suite` at its default plans, seed and operations.
+    pub fn new(suite: pm_chaos::Suite) -> SweepArgs {
+        SweepArgs {
+            suite,
+            plans: suite.default_plans(),
+            seed: suite.default_seed(),
+            budget_ms: None,
+            json: false,
+            trace: None,
+            workload: None,
+            ops: suite.default_ops().unwrap_or(0),
+        }
+    }
+}
+
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
@@ -135,75 +173,21 @@ pub enum Command {
         /// pipeline (pmdebugger only).
         supervise: SuperviseArgs,
     },
-    /// `pmdbg supervise --workload <name> [--ops <n>] [--plans <n>]
-    /// [--seed <n>] [--budget-ms <n>] [--json]` — run the detector-fault
-    /// chaos sweep: seeded fault plans injected into the supervised
-    /// pipeline's workers, asserting zero aborts, byte-identical verdicts
-    /// from fault-free shards, and precisely named casualties.
-    Supervise {
-        /// Workload name.
-        workload: String,
-        /// Operation count for the recorded trace.
-        ops: usize,
-        /// Seeded fault plans to run.
-        plans: usize,
-        /// Base sweep seed.
-        seed: u64,
-        /// Optional wall-clock budget in milliseconds.
-        budget_ms: Option<u64>,
-        /// Emit the JSON report instead of the human summary.
-        json: bool,
-    },
-    /// `pmdbg torture (--trace <file> | --workload <name> [--ops <n>])
-    /// [--images <n>] [--seed <n>] [--budget-ms <n>] [--json]` — sweep
-    /// deterministic corruption over a trace's v2 binary image and check
-    /// the salvage-reader invariants (never panic, terminate in budget,
-    /// recover everything before the first corruption).
-    Torture {
-        /// Pre-recorded trace file (mutually exclusive with `workload`).
-        trace: Option<String>,
-        /// Workload to record a trace from.
-        workload: Option<String>,
-        /// Operation count when recording from a workload.
-        ops: usize,
-        /// Mutated images per corruption class.
-        images: usize,
-        /// Mutation seed.
-        seed: u64,
-        /// Optional wall-clock budget in milliseconds.
-        budget_ms: Option<u64>,
-        /// Emit the JSON report instead of the human summary.
-        json: bool,
-    },
+    /// `pmdbg sweep <suite> [--plans <n>] [--seed <n>] [--budget-ms <n>]
+    /// [--json] [--trace <file> | --workload <name>] [--ops <n>]` — run
+    /// one seeded chaos sweep ([`pm_chaos::Suite`]): corruption torture,
+    /// supervisor faults, hostile serve clients, thread crashes, daemon
+    /// crashes or memory pressure. Exit 1 on aborts or violations, 4 when
+    /// clean but truncated by the wall-clock budget.
+    Sweep(SweepArgs),
     /// `pmdbg chaos --workload <name> [--ops <n>] [--points <n>]
     /// [--images <n>] [--budget-ms <n>] [--matrix] [--json]` — run a
     /// crash-point torture campaign (and optionally the perturbation
     /// sensitivity matrix) over a recorded workload trace.
-    ///
-    /// `pmdbg chaos --thread-crash [--plans <n>] [--seed <n>] [--ops <n>]
-    /// [--budget-ms <n>] [--json]` — run the thread-crash sweep instead:
-    /// seeded plans kill thread subsets of interleaved lock-free traces
-    /// and assert all four detection engines agree on the survivors.
-    ///
-    /// `pmdbg chaos --daemon-crash [--plans <n>] [--seed <n>]
-    /// [--budget-ms <n>] [--json]` — run the daemon-crash sweep: seeded
-    /// plans kill the serving daemon mid-stream (in-process hard stops
-    /// over a fault-injecting journal, or `kill -9` of a real `pmdbg
-    /// serve` subprocess), restart it over the same journal directory,
-    /// and assert zero verdict loss, zero duplication, and
-    /// byte-identical recovery.
-    ///
-    /// `pmdbg chaos --mem-pressure [--plans <n>] [--seed <n>]
-    /// [--budget-ms <n>] [--json]` — run the memory-pressure sweep:
-    /// seeded plans starve a governed server (whale sessions over tiny
-    /// budgets, spill storms, failing allocators, under-estimate global
-    /// budgets) and assert zero aborts, zero verdict divergence against
-    /// unpressured batch runs, and exact paused/spilled/rejected
-    /// accounting.
     Chaos {
-        /// Workload name (campaign mode; ignored by `--thread-crash`).
-        workload: Option<String>,
-        /// Operation count (per thread in `--thread-crash` mode).
+        /// Workload name.
+        workload: String,
+        /// Operation count.
         ops: usize,
         /// Crash-point budget (sampled above this).
         points: usize,
@@ -217,21 +201,6 @@ pub enum Command {
         json: bool,
         /// Write a [`RunManifest`] (JSON) to this path after the campaign.
         metrics: Option<String>,
-        /// Run the thread-crash sweep over the concurrent lock-free
-        /// workloads instead of the crash-point campaign.
-        thread_crash: bool,
-        /// Run the daemon-crash sweep (kill the serving daemon
-        /// mid-stream, recover the journal, check exactly-once
-        /// verdicts) instead of the crash-point campaign.
-        daemon_crash: bool,
-        /// Run the memory-pressure sweep (governed budgets, spills,
-        /// structured sheds, failing allocators) instead of the
-        /// crash-point campaign.
-        mem_pressure: bool,
-        /// Thread-crash / daemon-crash plans to run.
-        plans: usize,
-        /// Sweep seed (thread-crash / daemon-crash modes).
-        seed: u64,
     },
     /// `pmdbg stats <manifest.json>` — render a run manifest as a table.
     Stats {
@@ -316,21 +285,6 @@ pub enum Command {
         /// Emit the JSON summary instead of the human table.
         json: bool,
     },
-    /// `pmdbg serve-chaos [--sessions <n>] [--seed <n>] [--budget-ms <n>]
-    /// [--json]` — run the hostile-client sweep against a live server:
-    /// randomized corrupt/truncated/slow/panicking sessions, asserting
-    /// zero server aborts, batch-identical verdicts for survivors, and
-    /// exact lost-frame accounting for quarantined sessions.
-    ServeChaos {
-        /// Hostile sessions to run.
-        sessions: usize,
-        /// Base sweep seed.
-        seed: u64,
-        /// Optional wall-clock budget in milliseconds.
-        budget_ms: Option<u64>,
-        /// Emit the JSON report instead of the human summary.
-        json: bool,
-    },
     /// `pmdbg list` — list workloads and tools.
     List,
     /// `pmdbg help`.
@@ -350,14 +304,15 @@ impl fmt::Display for UsageError {
 impl std::error::Error for UsageError {}
 
 /// Result of a successfully executed command, carrying what the process
-/// exit code needs: whether the run surfaced bugs (or, for `torture`,
-/// invariant violations).
+/// exit code needs: whether the run surfaced bugs (or, for `sweep`,
+/// aborts and invariant violations).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Outcome {
     /// The command completed but found bugs (exit code 1).
     pub bugs_found: bool,
-    /// A supervised run completed with quarantined shards (exit code 4
-    /// when no bugs were found; bugs dominate).
+    /// A supervised run completed with quarantined shards, or a sweep was
+    /// cut short by its wall-clock budget (exit code 4 when no bugs were
+    /// found; bugs dominate).
     pub degraded: bool,
 }
 
@@ -425,18 +380,10 @@ USAGE:
                [--model strict|epoch|strand] [--threads <n>] [--metrics <file>]
                [--max-retries <n>] [--shard-deadline-ms <n>]
                [--fail-mode strict|degrade] [--fault-seed <n>]
-  pmdbg supervise --workload <name> [--ops <n>] [--plans <n>] [--seed <n>]
-                  [--budget-ms <n>] [--json]
-  pmdbg torture (--trace <file> | --workload <name> [--ops <n>]) [--images <n>]
-                [--seed <n>] [--budget-ms <n>] [--json]
   pmdbg chaos --workload <name> [--ops <n>] [--points <n>] [--images <n>]
               [--budget-ms <n>] [--matrix] [--json] [--metrics <file>]
-  pmdbg chaos --thread-crash [--plans <n>] [--seed <n>] [--ops <n>]
-              [--budget-ms <n>] [--json]
-  pmdbg chaos --daemon-crash [--plans <n>] [--seed <n>] [--budget-ms <n>]
-              [--json]
-  pmdbg chaos --mem-pressure [--plans <n>] [--seed <n>] [--budget-ms <n>]
-              [--json]
+  pmdbg sweep <suite> [--plans <n>] [--seed <n>] [--budget-ms <n>] [--json]
+              [--trace <file> | --workload <name>] [--ops <n>]
   pmdbg serve --listen <addr> [--model strict|epoch|strand] [--strict]
               [--max-sessions <n>] [--max-events <n>]
               [--session-deadline-ms <n>] [--max-retries <n>]
@@ -445,7 +392,6 @@ USAGE:
               [--session-mem-budget <bytes>] [--spill-dir <dir>]
   pmdbg push --addr <addr> --trace <file> [--session <key>] [--json]
   pmdbg recover <journal-dir> [--json]
-  pmdbg serve-chaos [--sessions <n>] [--seed <n>] [--budget-ms <n>] [--json]
   pmdbg stats <manifest.json>
   pmdbg characterize --workload <name> [--ops <n>]
   pmdbg corpus
@@ -456,12 +402,14 @@ TOOLS:     pmdebugger (default), pmemcheck, pmtest, xfdetector, nulgrind
 WORKLOADS: b_tree c_tree r_tree rb_tree hashmap_tx hashmap_atomic
            synth_strand memcached redis a_YCSB..f_YCSB
            treiber_stack ms_queue cas_hash (concurrent)
-EXIT CODES: 0 clean run, 1 bugs or torture/supervise/serve-chaos/
-            thread-crash/daemon-crash/mem-pressure violations found, 2 bad usage or
-            parse/ingest/recover failure, 3 internal error (incl.
+SUITES:    torture (--trace or --workload, --ops), supervise (--trace or
+           --workload, --ops), serve, thread-crash (--ops <= 1024, per
+           thread), daemon-crash, mem-pressure
+EXIT CODES: 0 clean run, 1 bugs or sweep aborts/violations found, 2 bad
+            usage or parse/ingest/recover failure, 3 internal error (incl.
             strict-mode shard or session failure), 4 degraded-but-clean
             run (shards or serve sessions quarantined, no bugs in
-            survivors)
+            survivors; or a clean sweep cut short by --budget-ms)
 EXAMPLE:   pmdbg run --workload b_tree --ops 1024 --tool pmdebugger";
 
 fn parse_threads(text: String) -> Result<usize, UsageError> {
@@ -485,6 +433,9 @@ fn parse_fail_mode(text: String) -> Result<FailMode, UsageError> {
         ))),
     }
 }
+
+/// Largest per-thread operation count `sweep thread-crash` accepts.
+const MAX_THREAD_CRASH_OPS: usize = 1024;
 
 fn parse_number<T: std::str::FromStr>(name: &str, text: String) -> Result<T, UsageError> {
     text.parse()
@@ -640,50 +591,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 supervise,
             })
         }
-        "torture" => {
-            let mut trace: Option<String> = None;
-            let mut workload: Option<String> = None;
-            let mut ops = 256usize;
-            let mut images = 125usize;
-            let mut seed = 0xC4A05u64;
-            let mut budget_ms: Option<u64> = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| UsageError(format!("missing value for {name}")))
-                };
-                let number = |name: &str, text: String| {
-                    text.parse::<u64>()
-                        .map_err(|_| UsageError(format!("{name} expects a number")))
-                };
-                match flag.as_str() {
-                    "--trace" => trace = Some(value(flag)?),
-                    "--workload" | "-w" => workload = Some(value(flag)?),
-                    "--ops" | "-n" => ops = number(flag, value(flag)?)? as usize,
-                    "--images" => images = number(flag, value(flag)?)? as usize,
-                    "--seed" => seed = number(flag, value(flag)?)?,
-                    "--budget-ms" => budget_ms = Some(number(flag, value(flag)?)?),
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            if trace.is_some() == workload.is_some() {
-                return Err(UsageError(
-                    "torture expects exactly one of --trace or --workload".into(),
-                ));
-            }
-            Ok(Command::Torture {
-                trace,
-                workload,
-                ops,
-                images,
-                seed,
-                budget_ms,
-                json,
-            })
-        }
         "chaos" => {
             let mut workload: Option<String> = None;
             let mut ops = 256usize;
@@ -693,11 +600,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             let mut matrix = false;
             let mut json = false;
             let mut metrics: Option<String> = None;
-            let mut thread_crash = false;
-            let mut daemon_crash = false;
-            let mut mem_pressure = false;
-            let mut plans = 100usize;
-            let mut seed = 0x7C4A_5AD0u64;
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| {
                     it.next()
@@ -717,28 +619,10 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     "--matrix" => matrix = true,
                     "--json" => json = true,
                     "--metrics" => metrics = Some(value(flag)?),
-                    "--thread-crash" => thread_crash = true,
-                    "--daemon-crash" => daemon_crash = true,
-                    "--mem-pressure" => mem_pressure = true,
-                    "--plans" => plans = number(flag, value(flag)?)?,
-                    "--seed" => {
-                        seed = value(flag)?
-                            .parse::<u64>()
-                            .map_err(|_| UsageError("--seed expects a number".into()))?;
-                    }
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
             }
-            if usize::from(thread_crash) + usize::from(daemon_crash) + usize::from(mem_pressure) > 1
-            {
-                return Err(UsageError(
-                    "--thread-crash, --daemon-crash and --mem-pressure are mutually exclusive"
-                        .into(),
-                ));
-            }
-            if workload.is_none() && !thread_crash && !daemon_crash && !mem_pressure {
-                return Err(UsageError("--workload is required".into()));
-            }
+            let workload = workload.ok_or_else(|| UsageError("--workload is required".into()))?;
             Ok(Command::Chaos {
                 workload,
                 ops,
@@ -748,20 +632,18 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 matrix,
                 json,
                 metrics,
-                thread_crash,
-                daemon_crash,
-                mem_pressure,
-                plans,
-                seed,
             })
         }
-        "supervise" => {
-            let mut workload: Option<String> = None;
-            let mut ops = 64usize;
-            let mut plans = 200usize;
-            let mut seed = 0x5AFE_0001u64;
-            let mut budget_ms: Option<u64> = None;
-            let mut json = false;
+        "sweep" => {
+            let name = it.next().map(String::as_str).unwrap_or_default();
+            let suite = pm_chaos::Suite::from_name(name).ok_or_else(|| {
+                UsageError(format!(
+                    "sweep expects a suite ({}), got `{name}`",
+                    pm_chaos::Suite::ALL.map(pm_chaos::Suite::name).join("|")
+                ))
+            })?;
+            let mut sweep = SweepArgs::new(suite);
+            let mut ops: Option<usize> = None;
             while let Some(flag) = it.next() {
                 let mut value = |name: &str| {
                     it.next()
@@ -769,23 +651,40 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                         .ok_or_else(|| UsageError(format!("missing value for {name}")))
                 };
                 match flag.as_str() {
-                    "--workload" | "-w" => workload = Some(value(flag)?),
-                    "--ops" | "-n" => ops = parse_number(flag, value(flag)?)?,
-                    "--plans" => plans = parse_number(flag, value(flag)?)?,
-                    "--seed" => seed = parse_number(flag, value(flag)?)?,
-                    "--budget-ms" => budget_ms = Some(parse_number(flag, value(flag)?)?),
-                    "--json" => json = true,
+                    "--plans" => sweep.plans = parse_number(flag, value(flag)?)?,
+                    "--seed" => sweep.seed = parse_number(flag, value(flag)?)?,
+                    "--budget-ms" => sweep.budget_ms = Some(parse_number(flag, value(flag)?)?),
+                    "--json" => sweep.json = true,
+                    "--trace" => sweep.trace = Some(value(flag)?),
+                    "--workload" | "-w" => sweep.workload = Some(value(flag)?),
+                    "--ops" | "-n" => ops = Some(parse_number(flag, value(flag)?)?),
                     other => return Err(UsageError(format!("unknown flag `{other}`"))),
                 }
             }
-            Ok(Command::Supervise {
-                workload: workload.ok_or_else(|| UsageError("--workload is required".into()))?,
-                ops,
-                plans,
-                seed,
-                budget_ms,
-                json,
-            })
+            let has_source = sweep.trace.is_some() || sweep.workload.is_some();
+            if matches!(suite, pm_chaos::Suite::Torture | pm_chaos::Suite::Supervise) {
+                if sweep.trace.is_some() == sweep.workload.is_some() {
+                    return Err(UsageError(format!(
+                        "sweep {suite} expects exactly one of --trace or --workload"
+                    )));
+                }
+            } else if has_source {
+                return Err(UsageError(format!(
+                    "--trace and --workload do not apply to sweep {suite}"
+                )));
+            }
+            if let Some(ops) = ops {
+                if suite.default_ops().is_none() {
+                    return Err(UsageError(format!("--ops does not apply to sweep {suite}")));
+                }
+                if suite == pm_chaos::Suite::ThreadCrash && ops > MAX_THREAD_CRASH_OPS {
+                    return Err(UsageError(format!(
+                        "--ops must be at most {MAX_THREAD_CRASH_OPS} for sweep thread-crash"
+                    )));
+                }
+                sweep.ops = ops;
+            }
+            Ok(Command::Sweep(sweep))
         }
         "serve" => {
             let mut listen: Option<String> = None;
@@ -897,32 +796,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
             }
             Ok(Command::Recover {
                 dir: dir.ok_or_else(|| UsageError("recover expects a journal directory".into()))?,
-                json,
-            })
-        }
-        "serve-chaos" => {
-            let mut sessions = 200usize;
-            let mut seed = 0x5E55_1085u64;
-            let mut budget_ms: Option<u64> = None;
-            let mut json = false;
-            while let Some(flag) = it.next() {
-                let mut value = |name: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| UsageError(format!("missing value for {name}")))
-                };
-                match flag.as_str() {
-                    "--sessions" => sessions = parse_number(flag, value(flag)?)?,
-                    "--seed" => seed = parse_number(flag, value(flag)?)?,
-                    "--budget-ms" => budget_ms = Some(parse_number(flag, value(flag)?)?),
-                    "--json" => json = true,
-                    other => return Err(UsageError(format!("unknown flag `{other}`"))),
-                }
-            }
-            Ok(Command::ServeChaos {
-                sessions,
-                seed,
-                budget_ms,
                 json,
             })
         }
@@ -1451,6 +1324,34 @@ pub fn execute(command: Command, out: &mut dyn fmt::Write) -> Result<(), String>
         .map_err(|e| e.message().to_owned())
 }
 
+/// The trace a `torture` or `supervise` sweep runs over, with its label and
+/// persistency model: a trace file (ingested strictly, swept under the
+/// strict model) or a freshly recorded workload.
+fn sweep_source(
+    trace: Option<String>,
+    workload: Option<String>,
+    ops: usize,
+) -> Result<(String, Trace, PersistencyModel), ExecError> {
+    match (trace, workload) {
+        (Some(path), _) => {
+            let bytes = std::fs::read(&path)
+                .map_err(|e| ExecError::Input(format!("cannot read {path}: {e}")))?;
+            let (trace, _) =
+                pm_trace::ingest_bytes(&bytes, IngestMode::Strict, &IngestLimits::default())
+                    .map_err(|e| ExecError::Input(format!("{path}: {e}")))?;
+            Ok((path, trace, PersistencyModel::Strict))
+        }
+        (None, Some(name)) => {
+            let workload = workload_by_name(&name).ok_or_else(|| {
+                ExecError::Input(format!("unknown workload `{name}` (try `pmdbg list`)"))
+            })?;
+            let trace = pm_workloads::record_trace(workload.as_ref(), ops);
+            Ok((name, trace, persistency(workload.model())))
+        }
+        (None, None) => unreachable!("parse() requires one of --trace/--workload"),
+    }
+}
+
 /// Executes a parsed command, writing human output to `out` and returning
 /// the exit-code-relevant [`Outcome`].
 ///
@@ -1511,164 +1412,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             matrix,
             json,
             metrics,
-            thread_crash,
-            daemon_crash,
-            mem_pressure,
-            plans,
-            seed,
         } => {
-            if mem_pressure {
-                let opts = pm_chaos::MemPressureOptions {
-                    plans,
-                    seed,
-                    wall_clock: budget_ms.map(std::time::Duration::from_millis),
-                };
-                let report = pm_chaos::mem_pressure_sweep(&opts);
-                if json {
-                    writeln!(out, "{}", report.to_json()).map_err(wr)?;
-                } else {
-                    writeln!(
-                        out,
-                        "mem-pressure: {}/{} plan(s), {} session(s) ({} ok), \
-                         {} memory shed(s), {} spill(s), {} rehydration(s), \
-                         {} rejection(s), {} pause(s) in {} ms -> {}",
-                        report.plans_run,
-                        report.plans_planned,
-                        report.sessions_total,
-                        report.ok_sessions,
-                        report.memory_sheds,
-                        report.spills_total,
-                        report.rehydrations_total,
-                        report.rejections_total,
-                        report.pauses_total,
-                        report.wall_ms,
-                        if report.ok() { "OK" } else { "VIOLATIONS" },
-                    )
-                    .map_err(wr)?;
-                    for (plan, count) in &report.plan_mix {
-                        writeln!(out, "  plan {plan}: {count}").map_err(wr)?;
-                    }
-                    for violation in &report.violations {
-                        writeln!(
-                            out,
-                            "  violation [{}] plan {} ({}): {}",
-                            violation.kind, violation.index, violation.plan, violation.detail
-                        )
-                        .map_err(wr)?;
-                    }
-                    for truncation in &report.truncations {
-                        writeln!(out, "  truncated: {truncation}").map_err(wr)?;
-                    }
-                }
-                return Ok(Outcome {
-                    bugs_found: !report.ok(),
-                    degraded: false,
-                });
-            }
-            if daemon_crash {
-                let opts = pm_chaos::DaemonCrashOptions {
-                    plans,
-                    seed,
-                    wall_clock: budget_ms.map(std::time::Duration::from_millis),
-                    // Only a real `pmdbg` binary can serve as the
-                    // kill -9 subprocess daemon; anything else (e.g. a
-                    // test harness hosting this library) falls back to
-                    // the in-process crash path.
-                    pmdbg_exe: std::env::current_exe().ok().filter(|exe| {
-                        exe.file_name()
-                            .is_some_and(|name| name.to_string_lossy().starts_with("pmdbg"))
-                    }),
-                };
-                let report = pm_chaos::daemon_crash_sweep(&opts);
-                if json {
-                    writeln!(out, "{}", report.to_json()).map_err(wr)?;
-                } else {
-                    writeln!(
-                        out,
-                        "daemon-crash: {}/{} plan(s), {} verdict(s) replayed from ledger, \
-                         {} session(s) resumed from checkpoint, {} torn region(s) discarded, \
-                         {} lost, {} duplicated, {} abort(s) in {} ms -> {}",
-                        report.plans_run,
-                        report.plans_planned,
-                        report.replayed_from_ledger,
-                        report.resumed_from_checkpoint,
-                        report.torn_discarded_total,
-                        report.verdicts_lost,
-                        report.verdicts_duplicated,
-                        report.aborts,
-                        report.wall_ms,
-                        if report.ok() { "OK" } else { "VIOLATIONS" },
-                    )
-                    .map_err(wr)?;
-                    for (plan, count) in &report.plan_mix {
-                        writeln!(out, "  plan {plan}: {count}").map_err(wr)?;
-                    }
-                    for violation in &report.violations {
-                        writeln!(
-                            out,
-                            "  violation [{}] plan {} ({}): {}",
-                            violation.kind, violation.index, violation.plan, violation.detail
-                        )
-                        .map_err(wr)?;
-                    }
-                    for truncation in &report.truncations {
-                        writeln!(out, "  truncated: {truncation}").map_err(wr)?;
-                    }
-                }
-                return Ok(Outcome {
-                    bugs_found: !report.ok(),
-                    degraded: false,
-                });
-            }
-            if thread_crash {
-                let opts = pm_chaos::ThreadCrashOptions {
-                    plans,
-                    seed,
-                    ops_per_thread: ops.min(1024),
-                    wall_clock: budget_ms.map(std::time::Duration::from_millis),
-                    ..pm_chaos::ThreadCrashOptions::default()
-                };
-                let report = pm_chaos::thread_crash_sweep(&opts);
-                if json {
-                    writeln!(out, "{}", report.to_json()).map_err(wr)?;
-                } else {
-                    writeln!(
-                        out,
-                        "thread-crash: {}/{} plan(s), {} thread(s) killed, \
-                         {} surviving event(s), {} agreed report(s) in {} ms -> {}",
-                        report.plans_run,
-                        report.plans_planned,
-                        report.killed_threads,
-                        report.surviving_events,
-                        report.reports_agreed,
-                        report.wall_ms,
-                        if report.ok() { "OK" } else { "VIOLATIONS" },
-                    )
-                    .map_err(wr)?;
-                    for violation in &report.violations {
-                        writeln!(
-                            out,
-                            "  violation [{}] plan {} ({}, seed {}, {} threads, killed {:?}): {}",
-                            violation.kind,
-                            violation.plan_index,
-                            violation.workload,
-                            violation.plan_seed,
-                            violation.threads,
-                            violation.killed,
-                            violation.detail
-                        )
-                        .map_err(wr)?;
-                    }
-                    for truncation in &report.truncations {
-                        writeln!(out, "  truncated: {truncation}").map_err(wr)?;
-                    }
-                }
-                return Ok(Outcome {
-                    bugs_found: !report.ok(),
-                    degraded: false,
-                });
-            }
-            let workload = workload.expect("parse requires --workload without --thread-crash");
             let workload = workload_by_name(&workload).ok_or_else(|| {
                 ExecError::Input(format!("unknown workload `{workload}` (try `pmdbg list`)"))
             })?;
@@ -2099,138 +1843,67 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
             }
             Ok(Outcome::from_report_count(reports.len()))
         }
-        Command::Torture {
-            trace,
-            workload,
-            ops,
-            images,
-            seed,
-            budget_ms,
-            json,
-        } => {
-            let (label, trace) = match (trace, workload) {
-                (Some(path), _) => {
-                    let bytes = std::fs::read(&path)
-                        .map_err(|e| ExecError::Input(format!("cannot read {path}: {e}")))?;
-                    let (trace, _) = pm_trace::ingest_bytes(
-                        &bytes,
-                        IngestMode::Strict,
-                        &IngestLimits::default(),
-                    )
-                    .map_err(|e| ExecError::Input(format!("{path}: {e}")))?;
-                    (path, trace)
-                }
-                (None, Some(name)) => {
-                    let workload = workload_by_name(&name).ok_or_else(|| {
-                        ExecError::Input(format!("unknown workload `{name}` (try `pmdbg list`)"))
-                    })?;
-                    (name, pm_workloads::record_trace(workload.as_ref(), ops))
-                }
-                (None, None) => unreachable!("parse() requires one of --trace/--workload"),
-            };
-            let mut budget = pm_chaos::Budget::default().with_seed(seed);
-            if let Some(ms) = budget_ms {
-                budget = budget.with_wall_clock(std::time::Duration::from_millis(ms));
-            }
-            let report = pm_chaos::corruption_torture(&trace, &budget, images)
-                .map_err(|e| ExecError::Input(format!("{label}: {e}")))?;
-            if json {
-                writeln!(out, "{}", report.to_json()).map_err(wr)?;
-            } else {
-                writeln!(
-                    out,
-                    "{label}: {} image(s) over {} frames ({} bytes pristine) in {} ms -> {}",
-                    report.images_total(),
-                    report.pristine_frames,
-                    report.pristine_bytes,
-                    report.wall_ms,
-                    if report.ok() { "OK" } else { "VIOLATIONS" },
-                )
-                .map_err(wr)?;
-                for (class, stats) in &report.per_class {
-                    writeln!(
-                        out,
-                        "  {class}: images={} panics={} floor_violations={} \
-                         prefix_mismatches={} detector_mismatches={} salvaged={}/{} rejected={}",
-                        stats.images,
-                        stats.panics,
-                        stats.floor_violations,
-                        stats.prefix_mismatches,
-                        stats.detector_mismatches,
-                        stats.salvaged_frames,
-                        stats.floor_frames,
-                        stats.rejected,
-                    )
-                    .map_err(wr)?;
-                }
-                for truncation in &report.truncations {
-                    writeln!(out, "  truncated: {truncation}").map_err(wr)?;
-                }
-            }
-            Ok(Outcome {
-                bugs_found: !report.ok(),
-                degraded: false,
-            })
-        }
-        Command::Supervise {
-            workload,
-            ops,
+        Command::Sweep(SweepArgs {
+            suite,
             plans,
             seed,
             budget_ms,
             json,
-        } => {
-            let workload = workload_by_name(&workload).ok_or_else(|| {
-                ExecError::Input(format!("unknown workload `{workload}` (try `pmdbg list`)"))
-            })?;
-            let trace = pm_workloads::record_trace(workload.as_ref(), ops);
-            let model = persistency(workload.model());
-            let opts = pm_chaos::SupervisorSweepOptions {
-                plans,
-                seed,
-                wall_clock: budget_ms.map(std::time::Duration::from_millis),
-                ..pm_chaos::SupervisorSweepOptions::default()
+            trace,
+            workload,
+            ops,
+        }) => {
+            use pm_chaos::{run_sweep, Suite};
+            let wall_clock = budget_ms.map(Duration::from_millis);
+            let report = match suite {
+                Suite::Torture => {
+                    let (label, trace, _) = sweep_source(trace, workload, ops)?;
+                    let mut sweep = pm_chaos::TortureSweep::new(trace, seed, plans)
+                        .map_err(|e| ExecError::Input(format!("{label}: {e}")))?;
+                    run_sweep(&mut sweep, plans, wall_clock)
+                }
+                Suite::Supervise => {
+                    let (_, trace, model) = sweep_source(trace, workload, ops)?;
+                    let mut sweep = pm_chaos::SupervisorSweep::new(trace, model, seed);
+                    run_sweep(&mut sweep, plans, wall_clock)
+                }
+                Suite::Serve => {
+                    let mut sweep = pm_chaos::ServeSweep::start(seed).map_err(|e| {
+                        ExecError::Internal(format!("cannot start the sweep's server: {e}"))
+                    })?;
+                    run_sweep(&mut sweep, plans, wall_clock)
+                }
+                Suite::ThreadCrash => run_sweep(
+                    &mut pm_chaos::ThreadCrashSweep::new(seed, ops),
+                    plans,
+                    wall_clock,
+                ),
+                Suite::DaemonCrash => {
+                    // Only a real `pmdbg` binary can serve as the kill -9
+                    // subprocess daemon; anything else (e.g. a test
+                    // harness hosting this library) falls back to the
+                    // in-process crash path.
+                    let exe = std::env::current_exe().ok().filter(|exe| {
+                        exe.file_name()
+                            .is_some_and(|name| name.to_string_lossy().starts_with("pmdbg"))
+                    });
+                    let mut sweep = pm_chaos::DaemonCrashSweep::new(seed, exe);
+                    run_sweep(&mut sweep, plans, wall_clock)
+                }
+                Suite::MemPressure => run_sweep(
+                    &mut pm_chaos::MemPressureSweep::new(seed),
+                    plans,
+                    wall_clock,
+                ),
             };
-            let report = pm_chaos::supervisor_sweep(&trace, model, &opts);
             if json {
                 writeln!(out, "{}", report.to_json()).map_err(wr)?;
             } else {
-                writeln!(
-                    out,
-                    "{} x{}: {}/{} fault plan(s), {} fault(s) injected, {} degraded run(s), \
-                     {} shard(s) quarantined, {} retries, {} event(s) lost in {} ms -> {}",
-                    workload.name(),
-                    ops,
-                    report.plans_run,
-                    report.plans_planned,
-                    report.faults_injected,
-                    report.degraded_runs,
-                    report.quarantined_shards,
-                    report.retries,
-                    report.lost_events,
-                    report.wall_ms,
-                    if report.ok() { "OK" } else { "VIOLATIONS" },
-                )
-                .map_err(wr)?;
-                for violation in &report.violations {
-                    writeln!(
-                        out,
-                        "  violation [{}] plan {} (seed {}, {} threads): {}",
-                        violation.kind,
-                        violation.plan_index,
-                        violation.plan_seed,
-                        violation.threads,
-                        violation.detail
-                    )
-                    .map_err(wr)?;
-                }
-                for truncation in &report.truncations {
-                    writeln!(out, "  truncated: {truncation}").map_err(wr)?;
-                }
+                write!(out, "{report}").map_err(wr)?;
             }
             Ok(Outcome {
                 bugs_found: !report.ok(),
-                degraded: false,
+                degraded: !report.truncations.is_empty(),
             })
         }
         Command::Serve {
@@ -2380,60 +2053,6 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
                 ))),
             }
         }
-        Command::ServeChaos {
-            sessions,
-            seed,
-            budget_ms,
-            json,
-        } => {
-            let opts = pm_chaos::ServeSweepOptions {
-                sessions,
-                seed,
-                wall_clock: budget_ms.map(Duration::from_millis),
-            };
-            let report = pm_chaos::serve_sweep(&opts);
-            if json {
-                writeln!(out, "{}", report.to_json()).map_err(wr)?;
-            } else {
-                writeln!(
-                    out,
-                    "{}/{} hostile session(s): {} ok, {} quarantined, {} errored, \
-                     {} shed, {} hash check(s), {} frame(s) lost, {} retrie(s), \
-                     {} abort(s) in {} ms -> {}",
-                    report.sessions_run,
-                    report.sessions_planned,
-                    report.ok_sessions,
-                    report.quarantined_sessions,
-                    report.errored_sessions,
-                    report.shed,
-                    report.hash_checks,
-                    report.frames_lost_total,
-                    report.retries_total,
-                    report.aborts,
-                    report.wall_ms,
-                    if report.ok() { "OK" } else { "VIOLATIONS" },
-                )
-                .map_err(wr)?;
-                for (plan, count) in &report.plan_mix {
-                    writeln!(out, "  plan {plan}: {count}").map_err(wr)?;
-                }
-                for violation in &report.violations {
-                    writeln!(
-                        out,
-                        "  violation [{}] session {} ({}): {}",
-                        violation.kind, violation.index, violation.plan, violation.detail
-                    )
-                    .map_err(wr)?;
-                }
-                for truncation in &report.truncations {
-                    writeln!(out, "  truncated: {truncation}").map_err(wr)?;
-                }
-            }
-            Ok(Outcome {
-                bugs_found: !report.ok(),
-                degraded: false,
-            })
-        }
         Command::Recover { dir, json } => {
             let summary = recover_dir(std::path::Path::new(&dir))
                 .map_err(|e| ExecError::Input(format!("cannot recover {dir}: {e}")))?;
@@ -2496,6 +2115,7 @@ pub fn execute_outcome(command: Command, out: &mut dyn fmt::Write) -> Result<Out
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pm_chaos::Suite;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| (*s).to_owned()).collect()
@@ -2740,7 +2360,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Chaos {
-                workload: Some("hashmap_atomic".into()),
+                workload: "hashmap_atomic".into(),
                 ops: 256,
                 points: 256,
                 images: 16,
@@ -2748,20 +2368,15 @@ mod tests {
                 matrix: false,
                 json: false,
                 metrics: None,
-                thread_crash: false,
-                daemon_crash: false,
-                mem_pressure: false,
-                plans: 100,
-                seed: 0x7C4A_5AD0,
             }
         );
     }
 
     #[test]
-    fn parses_chaos_thread_crash() {
+    fn parses_sweep_thread_crash() {
         let cmd = parse(&args(&[
-            "chaos",
-            "--thread-crash",
+            "sweep",
+            "thread-crash",
             "--plans",
             "12",
             "--seed",
@@ -2771,47 +2386,60 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Chaos {
-                workload: None,
-                ops: 256,
-                points: 256,
-                images: 16,
-                budget_ms: None,
-                matrix: false,
-                json: true,
-                metrics: None,
-                thread_crash: true,
-                daemon_crash: false,
-                mem_pressure: false,
+            Command::Sweep(SweepArgs {
+                suite: Suite::ThreadCrash,
                 plans: 12,
                 seed: 9,
-            }
+                budget_ms: None,
+                json: true,
+                trace: None,
+                workload: None,
+                ops: 24,
+            })
         );
+        assert!(
+            parse(&args(&["sweep", "thread-crash", "--workload", "b_tree"])).is_err(),
+            "thread-crash records its own traces"
+        );
+        assert!(parse(&args(&["sweep"])).is_err(), "a suite is required");
+        assert!(parse(&args(&["sweep", "all"])).is_err(), "no `all` suite");
+    }
+
+    #[test]
+    fn thread_crash_ops_above_the_cap_are_a_usage_error() {
+        let cmd = parse(&args(&["sweep", "thread-crash", "--ops", "1024"])).unwrap();
+        assert!(
+            matches!(cmd, Command::Sweep(SweepArgs { ops: 1024, .. })),
+            "{cmd:?}"
+        );
+        let err = parse(&args(&["sweep", "thread-crash", "--ops", "1025"])).unwrap_err();
+        assert!(err.0.contains("at most 1024"), "{err}");
+    }
+
+    /// JSON-reporting sweep arguments at `plans` plans and `seed`.
+    fn sweep_args(suite: Suite, plans: usize, seed: u64) -> SweepArgs {
+        SweepArgs {
+            plans,
+            seed,
+            json: true,
+            ..SweepArgs::new(suite)
+        }
+    }
+
+    fn sweep(suite: Suite, plans: usize, seed: u64) -> Command {
+        Command::Sweep(sweep_args(suite, plans, seed))
     }
 
     #[test]
     fn thread_crash_sweep_runs_clean() {
         let mut out = String::new();
-        let outcome = execute_outcome(
-            Command::Chaos {
-                workload: None,
-                ops: 10,
-                points: 256,
-                images: 16,
-                budget_ms: None,
-                matrix: false,
-                json: true,
-                metrics: None,
-                thread_crash: true,
-                daemon_crash: false,
-                mem_pressure: false,
-                plans: 6,
-                seed: 1,
-            },
-            &mut out,
-        )
-        .unwrap();
+        let command = Command::Sweep(SweepArgs {
+            ops: 10,
+            ..sweep_args(Suite::ThreadCrash, 6, 1)
+        });
+        let outcome = execute_outcome(command, &mut out).unwrap();
         assert!(!outcome.bugs_found, "{out}");
+        assert!(!outcome.degraded, "{out}");
         assert!(out.starts_with("{\"ok\":true"), "{out}");
         assert!(out.contains("\"plans_run\":6"), "{out}");
         assert!(out.contains("\"aborts\":0"), "{out}");
@@ -2838,7 +2466,7 @@ mod tests {
         assert_eq!(
             cmd,
             Command::Chaos {
-                workload: Some("memcached".into()),
+                workload: "memcached".into(),
                 ops: 32,
                 points: 64,
                 images: 8,
@@ -2846,11 +2474,6 @@ mod tests {
                 matrix: true,
                 json: true,
                 metrics: None,
-                thread_crash: false,
-                daemon_crash: false,
-                mem_pressure: false,
-                plans: 100,
-                seed: 0x7C4A_5AD0,
             }
         );
         assert!(parse(&args(&["chaos"])).is_err());
@@ -2862,7 +2485,7 @@ mod tests {
         let mut out = String::new();
         execute(
             Command::Chaos {
-                workload: Some("hashmap_atomic".into()),
+                workload: "hashmap_atomic".into(),
                 ops: 16,
                 points: 48,
                 images: 4,
@@ -2870,11 +2493,6 @@ mod tests {
                 matrix: false,
                 json: false,
                 metrics: None,
-                thread_crash: false,
-                daemon_crash: false,
-                mem_pressure: false,
-                plans: 100,
-                seed: 0x7C4A_5AD0,
             },
             &mut out,
         )
@@ -2888,7 +2506,7 @@ mod tests {
         let mut out = String::new();
         execute(
             Command::Chaos {
-                workload: Some("hashmap_atomic".into()),
+                workload: "hashmap_atomic".into(),
                 ops: 8,
                 points: 24,
                 images: 4,
@@ -2896,11 +2514,6 @@ mod tests {
                 matrix: true,
                 json: true,
                 metrics: None,
-                thread_crash: false,
-                daemon_crash: false,
-                mem_pressure: false,
-                plans: 100,
-                seed: 0x7C4A_5AD0,
             },
             &mut out,
         )
@@ -3168,7 +2781,7 @@ mod tests {
         let mut out = String::new();
         execute(
             Command::Chaos {
-                workload: Some("hashmap_atomic".into()),
+                workload: "hashmap_atomic".into(),
                 ops: 16,
                 points: 48,
                 images: 4,
@@ -3176,11 +2789,6 @@ mod tests {
                 matrix: false,
                 json: false,
                 metrics: Some(path.to_str().unwrap().to_owned()),
-                thread_crash: false,
-                daemon_crash: false,
-                mem_pressure: false,
-                plans: 100,
-                seed: 0x7C4A_5AD0,
             },
             &mut out,
         )
@@ -3234,11 +2842,12 @@ mod tests {
     #[test]
     fn parses_torture_and_requires_one_source() {
         let cmd = parse(&args(&[
+            "sweep",
             "torture",
             "--trace",
             "/tmp/t.pmt",
-            "--images",
-            "10",
+            "--plans",
+            "40",
             "--seed",
             "7",
             "--json",
@@ -3246,20 +2855,39 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Torture {
-                trace: Some("/tmp/t.pmt".into()),
-                workload: None,
-                ops: 256,
-                images: 10,
+            Command::Sweep(SweepArgs {
+                suite: Suite::Torture,
+                plans: 40,
                 seed: 7,
                 budget_ms: None,
                 json: true,
-            }
+                trace: Some("/tmp/t.pmt".into()),
+                workload: None,
+                ops: 256,
+            })
         );
-        assert!(parse(&args(&["torture"])).is_err(), "needs a source");
         assert!(
-            parse(&args(&["torture", "--trace", "a", "--workload", "b"])).is_err(),
+            parse(&args(&["sweep", "torture"])).is_err(),
+            "needs a source"
+        );
+        assert!(
+            parse(&args(&[
+                "sweep",
+                "torture",
+                "--trace",
+                "a",
+                "--workload",
+                "b"
+            ]))
+            .is_err(),
             "sources are mutually exclusive"
+        );
+        assert!(
+            parse(&args(&[
+                "sweep", "torture", "--trace", "a", "--images", "5"
+            ]))
+            .is_err(),
+            "plans replace --images"
         );
     }
 
@@ -3577,15 +3205,12 @@ mod tests {
         .unwrap();
         let mut out = String::new();
         let outcome = execute_outcome(
-            Command::Torture {
-                trace: Some(path.to_str().unwrap().to_owned()),
-                workload: None,
-                ops: 256,
-                images: 8,
-                seed: 1,
-                budget_ms: None,
+            Command::Sweep(SweepArgs {
                 json: false,
-            },
+                trace: Some(path.to_str().unwrap().to_owned()),
+                ops: 256,
+                ..sweep_args(Suite::Torture, 32, 1)
+            }),
             &mut out,
         )
         .unwrap();
@@ -3595,15 +3220,11 @@ mod tests {
 
         let mut json_out = String::new();
         execute(
-            Command::Torture {
-                trace: None,
+            Command::Sweep(SweepArgs {
                 workload: Some("hashmap_atomic".into()),
                 ops: 16,
-                images: 4,
-                seed: 1,
-                budget_ms: None,
-                json: true,
-            },
+                ..sweep_args(Suite::Torture, 16, 1)
+            }),
             &mut json_out,
         )
         .unwrap();
@@ -3616,15 +3237,10 @@ mod tests {
     fn outcome_classification_matches_exit_contract() {
         // Input problems (exit 2): missing file.
         let err = execute_outcome(
-            Command::Torture {
+            Command::Sweep(SweepArgs {
                 trace: Some("/nonexistent/x.pmt2".into()),
-                workload: None,
-                ops: 16,
-                images: 4,
-                seed: 1,
-                budget_ms: None,
-                json: false,
-            },
+                ..sweep_args(Suite::Torture, 16, 1)
+            }),
             &mut String::new(),
         )
         .unwrap_err();
@@ -3722,19 +3338,22 @@ mod tests {
 
     #[test]
     fn parses_supervise_subcommand() {
-        let cmd = parse(&args(&["supervise", "--workload", "b_tree"])).unwrap();
+        let cmd = parse(&args(&["sweep", "supervise", "--workload", "b_tree"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Supervise {
-                workload: "b_tree".into(),
-                ops: 64,
+            Command::Sweep(SweepArgs {
+                suite: Suite::Supervise,
                 plans: 200,
                 seed: 0x5AFE_0001,
                 budget_ms: None,
                 json: false,
-            }
+                trace: None,
+                workload: Some("b_tree".into()),
+                ops: 64,
+            })
         );
         let cmd = parse(&args(&[
+            "sweep",
             "supervise",
             "-w",
             "redis",
@@ -3751,16 +3370,21 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Supervise {
-                workload: "redis".into(),
-                ops: 32,
+            Command::Sweep(SweepArgs {
+                suite: Suite::Supervise,
                 plans: 50,
                 seed: 9,
                 budget_ms: Some(800),
                 json: true,
-            }
+                trace: None,
+                workload: Some("redis".into()),
+                ops: 32,
+            })
         );
-        assert!(parse(&args(&["supervise"])).is_err(), "--workload required");
+        assert!(
+            parse(&args(&["sweep", "supervise"])).is_err(),
+            "a source is required"
+        );
     }
 
     #[test]
@@ -3929,36 +3553,22 @@ mod tests {
 
     #[test]
     fn supervise_command_sweeps_cleanly_and_emits_json() {
-        let mut out = String::new();
-        let outcome = execute_outcome(
-            Command::Supervise {
-                workload: "hashmap_atomic".into(),
+        let supervise = |plans: usize, seed: u64, json: bool| {
+            Command::Sweep(SweepArgs {
+                json,
+                workload: Some("hashmap_atomic".into()),
                 ops: 24,
-                plans: 12,
-                seed: 0x5AFE_0001,
-                budget_ms: None,
-                json: false,
-            },
-            &mut out,
-        )
-        .unwrap();
+                ..sweep_args(Suite::Supervise, plans, seed)
+            })
+        };
+        let mut out = String::new();
+        let outcome = execute_outcome(supervise(12, 0x5AFE_0001, false), &mut out).unwrap();
         assert!(!outcome.bugs_found, "{out}");
         assert!(out.contains("OK"), "{out}");
-        assert!(out.contains("fault plan(s)"), "{out}");
+        assert!(out.contains("faults_injected"), "{out}");
 
         let mut json_out = String::new();
-        execute(
-            Command::Supervise {
-                workload: "hashmap_atomic".into(),
-                ops: 24,
-                plans: 8,
-                seed: 3,
-                budget_ms: None,
-                json: true,
-            },
-            &mut json_out,
-        )
-        .unwrap();
+        execute(supervise(8, 3, true), &mut json_out).unwrap();
         assert!(json_out.trim().starts_with('{'), "{json_out}");
         assert!(json_out.contains("\"ok\":true"), "{json_out}");
     }
@@ -4136,19 +3746,18 @@ mod tests {
             "session keys are validated at parse time"
         );
 
-        let cmd = parse(&args(&["serve-chaos"])).unwrap();
+        let cmd = parse(&args(&["sweep", "serve"])).unwrap();
         assert_eq!(
             cmd,
-            Command::ServeChaos {
-                sessions: 200,
-                seed: 0x5E55_1085,
-                budget_ms: None,
+            Command::Sweep(SweepArgs {
                 json: false,
-            }
+                ..sweep_args(Suite::Serve, 200, 0x5E55_1085)
+            })
         );
         let cmd = parse(&args(&[
-            "serve-chaos",
-            "--sessions",
+            "sweep",
+            "serve",
+            "--plans",
             "12",
             "--seed",
             "7",
@@ -4159,20 +3768,26 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::ServeChaos {
-                sessions: 12,
-                seed: 7,
+            Command::Sweep(SweepArgs {
                 budget_ms: Some(500),
-                json: true,
-            }
+                ..sweep_args(Suite::Serve, 12, 7)
+            })
+        );
+        assert!(
+            parse(&args(&["sweep", "serve", "--sessions", "12"])).is_err(),
+            "plans replace --sessions"
+        );
+        assert!(
+            parse(&args(&["sweep", "serve", "--ops", "12"])).is_err(),
+            "the server sweeps take no --ops"
         );
     }
 
     #[test]
     fn parses_daemon_crash_and_recover() {
         let cmd = parse(&args(&[
-            "chaos",
-            "--daemon-crash",
+            "sweep",
+            "daemon-crash",
             "--plans",
             "25",
             "--seed",
@@ -4180,25 +3795,10 @@ mod tests {
             "--json",
         ]))
         .unwrap();
+        assert_eq!(cmd, sweep(Suite::DaemonCrash, 25, 9));
         assert!(
-            matches!(
-                &cmd,
-                Command::Chaos {
-                    daemon_crash: true,
-                    mem_pressure: false,
-                    thread_crash: false,
-                    plans: 25,
-                    seed: 9,
-                    json: true,
-                    workload: None,
-                    ..
-                }
-            ),
-            "{cmd:?}"
-        );
-        assert!(
-            parse(&args(&["chaos", "--daemon-crash", "--thread-crash"])).is_err(),
-            "the two sweep modes are mutually exclusive"
+            parse(&args(&["chaos", "--daemon-crash"])).is_err(),
+            "the sweeps moved to `pmdbg sweep`"
         );
 
         let cmd = parse(&args(&["recover", "/tmp/jrnl", "--json"])).unwrap();
@@ -4337,25 +3937,7 @@ mod tests {
     #[test]
     fn daemon_crash_sweep_runs_clean_via_cli() {
         let mut out = String::new();
-        let outcome = execute_outcome(
-            Command::Chaos {
-                workload: None,
-                ops: 64,
-                points: 1,
-                images: 1,
-                budget_ms: None,
-                matrix: false,
-                json: true,
-                metrics: None,
-                thread_crash: false,
-                daemon_crash: true,
-                mem_pressure: false,
-                plans: 6,
-                seed: 0xD00D_1E5E,
-            },
-            &mut out,
-        )
-        .unwrap();
+        let outcome = execute_outcome(sweep(Suite::DaemonCrash, 6, 0xD00D_1E5E), &mut out).unwrap();
         assert!(!outcome.bugs_found, "{out}");
         assert!(out.contains("\"ok\":true"), "{out}");
         assert!(out.contains("\"verdicts_lost\":0"), "{out}");
@@ -4365,8 +3947,8 @@ mod tests {
     #[test]
     fn parses_mem_pressure_and_serve_memory_flags() {
         let cmd = parse(&args(&[
-            "chaos",
-            "--mem-pressure",
+            "sweep",
+            "mem-pressure",
             "--plans",
             "10",
             "--seed",
@@ -4374,25 +3956,10 @@ mod tests {
             "--json",
         ]))
         .unwrap();
+        assert_eq!(cmd, sweep(Suite::MemPressure, 10, 3));
         assert!(
-            matches!(
-                &cmd,
-                Command::Chaos {
-                    mem_pressure: true,
-                    daemon_crash: false,
-                    thread_crash: false,
-                    plans: 10,
-                    seed: 3,
-                    json: true,
-                    workload: None,
-                    ..
-                }
-            ),
-            "{cmd:?}"
-        );
-        assert!(
-            parse(&args(&["chaos", "--mem-pressure", "--daemon-crash"])).is_err(),
-            "sweep modes are mutually exclusive"
+            parse(&args(&["sweep", "mem-pressure", "--trace", "t"])).is_err(),
+            "the server sweeps take no trace"
         );
 
         let cmd = parse(&args(&[
@@ -4424,25 +3991,7 @@ mod tests {
     #[test]
     fn mem_pressure_sweep_runs_clean_via_cli() {
         let mut out = String::new();
-        let outcome = execute_outcome(
-            Command::Chaos {
-                workload: None,
-                ops: 64,
-                points: 1,
-                images: 1,
-                budget_ms: None,
-                matrix: false,
-                json: true,
-                metrics: None,
-                thread_crash: false,
-                daemon_crash: false,
-                mem_pressure: true,
-                plans: 8,
-                seed: 0x0D0_0BED,
-            },
-            &mut out,
-        )
-        .unwrap();
+        let outcome = execute_outcome(sweep(Suite::MemPressure, 8, 0x0D0_0BED), &mut out).unwrap();
         assert!(!outcome.bugs_found, "{out}");
         assert!(out.contains("\"ok\":true"), "{out}");
         assert!(out.contains("\"aborts\":0"), "{out}");
@@ -4557,16 +4106,7 @@ mod tests {
     #[test]
     fn serve_chaos_command_runs_a_small_sweep() {
         let mut out = String::new();
-        let outcome = execute_outcome(
-            Command::ServeChaos {
-                sessions: 12,
-                seed: 0x5E55_1085,
-                budget_ms: None,
-                json: true,
-            },
-            &mut out,
-        )
-        .unwrap();
+        let outcome = execute_outcome(sweep(Suite::Serve, 12, 0x5E55_1085), &mut out).unwrap();
         assert!(!outcome.bugs_found, "{out}");
         assert!(out.contains("\"ok\":true"), "{out}");
         assert!(out.contains("\"aborts\":0"), "{out}");

@@ -1,10 +1,11 @@
 //! `pmdbg` binary entry point; all logic lives in the library for testing.
 //!
-//! Exit-code contract: 0 clean run, 1 bugs (or torture/supervise
-//! invariant violations) found, 2 bad usage or parse/ingest failure,
-//! 3 internal error (including a strict-mode shard failure), 4 a
-//! supervised run that completed degraded — shards quarantined — without
-//! finding bugs in the survivors (bugs dominate: 1 wins over 4).
+//! Exit-code contract: 0 clean run, 1 bugs (or sweep aborts/violations)
+//! found, 2 bad usage or parse/ingest failure, 3 internal error
+//! (including a strict-mode shard failure), 4 a run that completed
+//! degraded without finding bugs — a supervised run with shards
+//! quarantined, or a clean sweep cut short by its wall-clock budget
+//! (bugs dominate: 1 wins over 4).
 
 use std::process::ExitCode;
 

@@ -493,7 +493,8 @@ mod tests {
 
     #[test]
     fn nested_structures_round_trip() {
-        let text = r#"{"a":[1,2,{"b":null}],"c":{"d":[true,false]},"e":"x\"y"}"#;
+        let text =
+            r#"{"a":[1,2,{"b":null}],"c":{"d":[true,false]},"e":"x\"y","f":"a\\b\nc\u0001"}"#;
         let value = Value::parse(text).unwrap();
         assert_eq!(value.to_string(), text);
     }

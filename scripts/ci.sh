@@ -5,86 +5,27 @@
 #     -> perfbench -> obs-smoke -> ingest-torture -> supervisor-chaos -> serve-chaos
 #     -> concurrent-chaos -> journal-chaos -> mem-chaos
 #
-# Every run writes target/ci_timings.json (override: PM_CI_TIMINGS_JSON), a
-# machine-readable ledger of {stage, seconds, status} rows plus an overall
-# verdict — on early exit the in-flight stage is recorded as "fail" and its
-# name printed, so a red pipeline names its culprit without log spelunking.
-# The six wall-clock-budgeted sweeps (ingest-torture, supervisor-chaos,
-# serve-chaos, concurrent-chaos, journal-chaos, mem-chaos) share one knob:
-# PM_CI_BUDGET_SECS (default 120) — turn it down for a quick local pass,
-# up for a soak run.
+# lint              clippy over all targets, warnings are errors
+# fmt               rustfmt check
+# unit              library unit tests
+# integration       integration-test binaries (incl. golden snapshots)
+# docs              doc tests (pm-obs keeps >= 3), then rustdoc with warnings as errors
+# bench-smoke       parallel-pipeline smoke bench vs scripts/bench_baseline.json
+# ingest-bench      ingest smoke bench vs scripts/ingest_baseline.json
+# perfbench         the end-to-end benchmark's own tests (perfbench/)
+# obs-smoke         metrics-on overhead under PM_OBS_MAX_OVERHEAD_PCT (5%)
+# ingest-torture    `pmdbg sweep torture`, 500 plans on each committed fixture
+# supervisor-chaos  `pmdbg sweep supervise`, 200 detector-fault plans
+# serve-chaos       `pmdbg sweep serve`, 200 hostile sessions, then a `pmdbg serve` daemon smoke test
+# concurrent-chaos  `pmdbg sweep thread-crash`, 100 plans
+# journal-chaos     `pmdbg sweep daemon-crash`, 100 plans
+# mem-chaos         `pmdbg sweep mem-pressure`, 100 plans
 #
-# lint        clippy over all targets, warnings are errors
-# fmt         rustfmt check
-# unit        library unit tests
-# integration integration-test binaries (includes the parallel-determinism
-#             and metrics-differential property suites and the
-#             golden-snapshot fixtures)
-# docs        doc tests (asserting pm-obs contributes documented examples),
-#             then rustdoc with warnings as errors
-# bench-smoke regenerates the parallel-pipeline benchmark in smoke mode and
-#             gates on the committed baseline (scripts/bench_gate.sh)
-# ingest-bench
-#             regenerates the ingest-throughput benchmark (owned reader vs
-#             zero-copy walker) in smoke mode and gates on the committed
-#             baseline (scripts/bench_gate.sh ingest): identical=true on
-#             every workload, stable report hashes, and the zero-copy
-#             speedup within tolerance of scripts/ingest_baseline.json
-# perfbench   the end-to-end benchmark's own tests (perfbench/, a package
-#             outside the workspace): builds the release benchmark and
-#             checks its verdict oracles on shrunken inputs, so a detector
-#             change cannot break the benchmark unnoticed
-# obs-smoke   metrics-overhead benchmark in smoke mode, failing if the
-#             metrics-on slowdown exceeds PM_OBS_MAX_OVERHEAD_PCT (5%)
-# ingest-torture
-#             corruption sweep (`pmdbg torture`) over both committed
-#             fixture traces: >=500 mutated images each, gated on exit
-#             code 0 and "ok":true in the JSON report (zero panics,
-#             salvage floor intact, detector differential clean)
-# supervisor-chaos
-#             detector-fault sweep (`pmdbg supervise`): >=200 seeded fault
-#             plans injected into the supervised parallel pipeline under a
-#             wall-clock budget, gated on exit code 0 and "ok":true
-#             (zero process aborts, fault-free shards byte-identical to
-#             sequential, every casualty named exactly)
-# serve-chaos hostile-client sweep (`pmdbg serve-chaos`): >=200 randomized
-#             sessions (truncations, bit flips, disconnects, slow-loris,
-#             injected panics) against a live server under a wall-clock
-#             budget, gated on exit code 0 and "ok":true (zero server
-#             aborts, survivors byte-identical to batch detection, exact
-#             lost-frame accounting), followed by a daemon smoke test:
-#             start `pmdbg serve` as a real process, push the committed
-#             btree fixture, assert the bug summary matches the golden
-#             batch verdict, SIGTERM-drain, and check the exit-code
-#             contract end to end
-# concurrent-chaos
-#             thread-crash sweep (`pmdbg chaos --thread-crash`): 100
-#             seeded plans build interleaved lock-free traces (Treiber
-#             stack, MS queue, CAS-published hash), kill a random thread
-#             subset at a crash boundary, and run all four detection
-#             engines over the survivor stream under a wall-clock budget,
-#             gated on exit code 0 and "ok":true (zero process aborts,
-#             zero survivor-stream divergence between engines)
-# journal-chaos
-#             daemon-crash sweep (`pmdbg chaos --daemon-crash`): >=100
-#             seeded plans run keyed (journaled) sessions, kill the
-#             serving daemon mid-stream (in-process hard stops over a
-#             fault-injecting journal — torn writes, dropped fsyncs,
-#             short writes, ENOSPC — plus real kill -9 of `pmdbg serve`
-#             subprocesses), restart it over the same journal directory
-#             and replay the clients, gated on exit code 0 and
-#             "ok":true with explicitly zero lost and zero duplicated
-#             verdicts (exactly-once emission across crashes)
-# mem-chaos   memory-pressure sweep (`pmdbg chaos --mem-pressure`): 100
-#             seeded plans starve a governed server — whale sessions over
-#             per-session budgets far below their footprint, herds of
-#             small sessions under generous budgets, spill-storm thrash,
-#             failing-allocator vetoes, global budgets below the
-#             admission estimate — gated on exit code 0 and "ok":true
-#             with explicitly zero aborts and zero verdict divergence
-#             against unpressured batch runs, plus exact
-#             paused/spilled/rejected accounting
-#
+# Each sweep stage gates on pmdbg's exit code alone: 0 means every plan ran
+# clean; 1 means aborts or violations; 4 means clean but cut short by the
+# shared PM_CI_BUDGET_SECS wall clock (default 120). Every run writes
+# target/ci_timings.json (override: PM_CI_TIMINGS_JSON), one
+# {stage, seconds, status} row per stage, the failing stage marked "fail".
 # Select a subset of stages by name: `scripts/ci.sh lint fmt unit`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -162,85 +103,20 @@ docs_stage() {
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace -q
 }
 
+# One seeded chaos sweep, gated on pmdbg's exit code alone.
+sweep_stage() {
+  cargo run -q --offline -p pm-cli -- sweep "$@" --budget-ms "${BUDGET_MS}"
+}
+
 ingest_torture_stage() {
-  # Corruption sweep over both committed fixtures (one v2 binary, one v1
-  # text). 125 images x 4 classes = 500 mutated images per fixture; the
-  # pmdbg exit-code contract turns any invariant violation into exit 1,
-  # and we additionally require the machine-readable verdict.
-  local fixture report
+  local fixture
   for fixture in tests/fixtures/btree_96.pmt2 tests/fixtures/hashmap_atomic_48.trace; do
-    report=$(cargo run -q --offline -p pm-cli -- \
-      torture --trace "${fixture}" --images 125 --seed 806405 \
-      --budget-ms "${BUDGET_MS}" --json)
-    if ! grep -q '"ok":true' <<<"${report}"; then
-      echo "ingest-torture: ${fixture} reported violations:" >&2
-      echo "${report}" >&2
-      exit 1
-    fi
-    if grep -Eq '"panics":[1-9]' <<<"${report}"; then
-      echo "ingest-torture: ${fixture} reported panics" >&2
-      exit 1
-    fi
-    echo "ingest-torture ${fixture}: ok"
+    sweep_stage torture --trace "${fixture}" --plans 500 --seed 806405
   done
 }
 
-supervisor_chaos_stage() {
-  # Detector-fault sweep: 200 seeded fault plans (panic / delay /
-  # alloc-pressure faults at varied retry, fallback, deadline and budget
-  # policies, cycling 2/3/4/8 worker threads) against one recorded
-  # workload trace, under the shared PM_CI_BUDGET_SECS wall-clock budget
-  # (default 120 s). The sweep's own
-  # oracles enforce the supervision contract; here we gate on the
-  # machine-readable verdict and explicitly on the zero-abort count.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    supervise --workload hashmap_atomic --ops 64 --plans 200 \
-    --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "supervisor-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "supervisor-chaos: sweep reported process aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":200' <<<"${report}"; then
-    echo "supervisor-chaos: sweep did not complete all 200 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "supervisor-chaos: ok"
-}
-
 serve_chaos_stage() {
-  # Hostile-client sweep against a live in-process server: 200 randomized
-  # sessions mixing clean pushes with truncations, bit flips, abrupt
-  # disconnects, slow-loris pacing, tiny garbage, injected session panics
-  # (transient and permanent) and budget overruns. The sweep's own
-  # oracles enforce the service contract — zero server aborts, surviving
-  # sessions byte-identical to batch detection on the same frames, exact
-  # lost-frame accounting for quarantined sessions; here we gate on the
-  # machine-readable verdict plus the abort and completion counts.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    serve-chaos --sessions 200 --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "serve-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "serve-chaos: sweep reported server aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"sessions_run":200' <<<"${report}"; then
-    echo "serve-chaos: sweep did not complete all 200 sessions in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "serve-chaos: sweep ok"
+  sweep_stage serve --plans 200
 
   # Daemon smoke test: a real `pmdbg serve` process with real signals.
   # Push the committed fixture, check the bug summary against the golden
@@ -294,106 +170,6 @@ serve_chaos_stage() {
   echo "serve-chaos: daemon smoke ok"
 }
 
-concurrent_chaos_stage() {
-  # Thread-crash sweep: 100 seeded plans cycling the three lock-free
-  # workloads at 2/4/8 threads, each crashed at a seeded boundary with a
-  # random subset of threads killed, then replayed through the
-  # sequential, parallel, supervised and streaming engines under the
-  # shared wall-clock budget. The sweep's own oracles enforce zero
-  # aborts and byte-identical survivor verdicts; here we gate on the
-  # machine-readable report plus the abort count explicitly.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    chaos --thread-crash --plans 100 --ops 24 \
-    --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "concurrent-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "concurrent-chaos: sweep reported process aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":100' <<<"${report}"; then
-    echo "concurrent-chaos: sweep did not complete all 100 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "concurrent-chaos: ok"
-}
-
-journal_chaos_stage() {
-  # Daemon-crash sweep: 100 seeded plans mixing clean runs (replay
-  # fences across restarts) with mid-stream daemon kills over torn-write
-  # / dropped-fsync / short-write / ENOSPC journal filesystems and real
-  # kill -9 of `pmdbg serve` subprocesses, each followed by recovery
-  # over the same journal directory and a client replay. The sweep's
-  # own oracles enforce the crash-durability contract — zero verdict
-  # loss, zero duplication, byte-identical recovered verdicts; here we
-  # gate on the machine-readable report plus the loss/duplication and
-  # completion counts explicitly.
-  cargo build -q --offline -p pm-cli
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    chaos --daemon-crash --plans 100 --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "journal-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if ! grep -q '"verdicts_lost":0' <<<"${report}" ||
-    ! grep -q '"verdicts_duplicated":0' <<<"${report}"; then
-    echo "journal-chaos: exactly-once verdict contract broken:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "journal-chaos: sweep reported daemon aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":100' <<<"${report}"; then
-    echo "journal-chaos: sweep did not complete all 100 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "journal-chaos: ok"
-}
-
-mem_chaos_stage() {
-  # Memory-pressure sweep: 100 seeded plans inject a memory governor into
-  # a fresh in-process server per plan and starve it five ways (whale
-  # sessions, small-session herds, spill storms, failing allocators,
-  # under-estimate global budgets). The sweep's own oracles enforce the
-  # governance contract — tracked bytes drain to zero, every spill is
-  # matched by a rehydration, rejections equal client-observed sheds;
-  # here we gate on the machine-readable report plus the abort,
-  # divergence and completion counts explicitly.
-  local report
-  report=$(cargo run -q --offline -p pm-cli -- \
-    chaos --mem-pressure --plans 100 --budget-ms "${BUDGET_MS}" --json)
-  if ! grep -q '"ok":true' <<<"${report}"; then
-    echo "mem-chaos: sweep reported violations:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if grep -Eq '"aborts":[1-9]' <<<"${report}"; then
-    echo "mem-chaos: sweep reported server aborts" >&2
-    exit 1
-  fi
-  if ! grep -q '"verdict_divergence":0' <<<"${report}"; then
-    echo "mem-chaos: pressured verdicts diverged from batch runs:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  if ! grep -q '"plans_run":100' <<<"${report}"; then
-    echo "mem-chaos: sweep did not complete all 100 plans in budget:" >&2
-    echo "${report}" >&2
-    exit 1
-  fi
-  echo "mem-chaos: ok"
-}
-
 obs_smoke_stage() {
   # Metrics-overhead gate: smoke-sized run, fail when metrics-on costs
   # more than PM_OBS_MAX_OVERHEAD_PCT (default 5% — the smoke inputs are
@@ -437,19 +213,19 @@ for stage in "${STAGES[@]}"; do
       run_stage ingest-torture ingest_torture_stage
       ;;
     supervisor-chaos)
-      run_stage supervisor-chaos supervisor_chaos_stage
+      run_stage supervisor-chaos sweep_stage supervise --workload hashmap_atomic --ops 64 --plans 200
       ;;
     serve-chaos)
       run_stage serve-chaos serve_chaos_stage
       ;;
     concurrent-chaos)
-      run_stage concurrent-chaos concurrent_chaos_stage
+      run_stage concurrent-chaos sweep_stage thread-crash --plans 100 --ops 24
       ;;
     journal-chaos)
-      run_stage journal-chaos journal_chaos_stage
+      run_stage journal-chaos sweep_stage daemon-crash --plans 100
       ;;
     mem-chaos)
-      run_stage mem-chaos mem_chaos_stage
+      run_stage mem-chaos sweep_stage mem-pressure --plans 100
       ;;
     *)
       echo "unknown stage: ${stage}" >&2
